@@ -68,6 +68,21 @@ def gcd2(a: int, b: int) -> int:
     return math.gcd(abs(a), abs(b))
 
 
+def _exgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with a*x + b*y = g and g = gcd(a, b) >= 0."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
 def primitivize(v: Covector) -> Covector:
     g = gcd2(v[0], v[1])
     if g == 0:

@@ -15,26 +15,24 @@ so it reduces to the plain theta product when the sublattice is all of N.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import comb, gcd
-from typing import Iterable, Mapping, Sequence, Union
+from math import gcd
+from typing import ClassVar, Mapping, Sequence
 
 from .errors import InconsistentEntry, SingularMatrix
 from .lattice_geometry import (
     Covector,
     HeightedPolygon,
     Point,
-    as_fraction,
+    _exgcd,
     convex_hull,
     lattice_points_in_hull,
     orient,
 )
-from .mirror_ring import ell2
+from .mirror_ring import Coefficient, Scalar, SparseExact, _clean, product_terms
 from .theta_ring import ThetaElement
 
 GroupElement = tuple[int, int]  # residues against (d1, d2)
 CoverGen = tuple[GroupElement, GroupElement, Covector, int]  # (g, h, n, i)
-Scalar = Union[int, str, Fraction]
 
 Matrix2 = tuple[tuple[int, int], tuple[int, int]]
 
@@ -71,21 +69,6 @@ class Sublattice:
     @classmethod
     def full(cls) -> "Sublattice":
         return cls(((1, 0), (0, 1)))
-
-
-def _exgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with a*x + b*y = g and g = gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 def _smith_transform(basis: Matrix2) -> tuple[Matrix2, tuple[int, int]]:
@@ -187,12 +170,8 @@ def quotient(sub: Sublattice) -> QuotientGroup:
     return group
 
 
-def _clean(entries: dict) -> dict:
-    return {k: v for k, v in entries.items() if v != 0}
-
-
-@dataclass(frozen=True)
-class CoverAlgebraElement:
+@dataclass(frozen=True, eq=False)
+class CoverAlgebraElement(SparseExact):
     """Sparse element of the block cover algebra.
 
     Entries are keyed (g, h, n, i): a generator of the (g, h) block with
@@ -200,21 +179,18 @@ class CoverAlgebraElement:
     against a specific sublattice by cover_compose, not at construction.
     """
 
-    entries: Mapping[CoverGen, Fraction] = field(default_factory=dict)
+    entries: Mapping[CoverGen, Coefficient] = field(default_factory=dict)
+    _field: ClassVar[str] = "entries"
 
-    def __post_init__(self):
-        norm: dict = {}
-        for (g, h, n, i), c in dict(self.entries).items():
-            key = (
-                (int(g[0]), int(g[1])),
-                (int(h[0]), int(h[1])),
-                (int(n[0]), int(n[1])),
-                int(i),
-            )
-            val = as_fraction(c)
-            if val != 0:
-                norm[key] = norm.get(key, Fraction(0)) + val
-        object.__setattr__(self, "entries", dict(_clean(norm)))
+    @staticmethod
+    def _key(k) -> CoverGen:
+        g, h, n, i = k
+        return (
+            (int(g[0]), int(g[1])),
+            (int(h[0]), int(h[1])),
+            (int(n[0]), int(n[1])),
+            int(i),
+        )
 
     @classmethod
     def generator(
@@ -225,35 +201,7 @@ class CoverAlgebraElement:
         i: int,
         c: Scalar = 1,
     ) -> "CoverAlgebraElement":
-        return cls({(tuple(g), tuple(h), tuple(n), int(i)): as_fraction(c)})
-
-    @classmethod
-    def zero(cls) -> "CoverAlgebraElement":
-        return cls({})
-
-    def __add__(self, other: "CoverAlgebraElement") -> "CoverAlgebraElement":
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return CoverAlgebraElement(out)
-
-    def __sub__(self, other: "CoverAlgebraElement") -> "CoverAlgebraElement":
-        return self + other.scale(-1)
-
-    def scale(self, c: Scalar) -> "CoverAlgebraElement":
-        f = as_fraction(c)
-        return CoverAlgebraElement({k: f * v for k, v in self.entries.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CoverAlgebraElement):
-            return NotImplemented
-        return dict(self.entries) == dict(other.entries)
-
-    def __hash__(self):
-        return hash(frozenset(self.entries.items()))
-
-    def items(self) -> Iterable[tuple[CoverGen, Fraction]]:
-        return sorted(self.entries.items())
+        return cls({(tuple(g), tuple(h), tuple(n), i): c})
 
     def __repr__(self):
         if not self.entries:
@@ -267,9 +215,7 @@ class CoverAlgebraElement:
 def cover_unit(sub: Sublattice) -> CoverAlgebraElement:
     """Sum of the identity generators (g, g, 0, 0) over all g in G."""
     group = quotient(sub)
-    return CoverAlgebraElement(
-        {(g, g, (0, 0), 0): Fraction(1) for g in group.elements()}
-    )
+    return CoverAlgebraElement._of({(g, g, (0, 0), 0): 1 for g in group.elements()})
 
 
 def _require_consistent(
@@ -292,28 +238,36 @@ def cover_compose(
 
     Matrix-style on the block indices (an x-entry starting at block g' meets
     a y-entry ending at block g' and contributes to (g of y, h of x)), with
-    the binomial theta structure constants on the (n, i) indices.
+    the binomial theta structure constants on the (n, i) indices: each
+    matching pair of blocks is multiplied by the theta product kernel.
     """
     group = quotient(sub)
     _require_consistent(group, x, "left operand")
     _require_consistent(group, y, "right operand")
     out: dict = {}
-    for (gx, hx, nx, ix), cx in x.entries.items():
-        for (gy, hy, ny, iy), cy in y.entries.items():
+    y_blocks = _blocks(y)
+    for (gx, hx), xs in _blocks(x).items():
+        for (gy, hy), ys in y_blocks.items():
             if gx != hy:
                 continue
-            n_sum = (nx[0] + ny[0], nx[1] + ny[1])
-            m = ell2(poly, nx, ny)
-            for j in range(m + 1):
-                key = (gy, hx, n_sum, ix + iy + j)
-                out[key] = out.get(key, Fraction(0)) + cx * cy * comb(m, j)
-    return CoverAlgebraElement(out)
+            for (n, i), c in product_terms(poly, xs, ys).items():
+                key = (gy, hx, n, i)
+                out[key] = out.get(key, 0) + c
+    return CoverAlgebraElement._of(_clean(out))
+
+
+def _blocks(x: CoverAlgebraElement) -> dict:
+    """The entries of x grouped by block: (g, h) -> {(n, i): c}."""
+    out: dict = {}
+    for (g, h, n, i), c in x.entries.items():
+        out.setdefault((g, h), {})[(n, i)] = c
+    return out
 
 
 def theta_to_cover(x: ThetaElement) -> CoverAlgebraElement:
     """View a theta element in the one-block algebra of the full lattice."""
     e = (0, 0)
-    return CoverAlgebraElement(
+    return CoverAlgebraElement._of(
         {(e, e, n, i): c for (n, i), c in x.coefficients.items()}
     )
 
@@ -322,8 +276,8 @@ def cover_to_theta(x: CoverAlgebraElement) -> ThetaElement:
     """Forget the block indices (inverse of theta_to_cover on one block)."""
     out: dict = {}
     for (_g, _h, n, i), c in x.entries.items():
-        out[(n, i)] = out.get((n, i), Fraction(0)) + c
-    return ThetaElement(out)
+        out[(n, i)] = out.get((n, i), 0) + c
+    return ThetaElement._of(_clean(out))
 
 
 def character_decomposition(
@@ -341,7 +295,7 @@ def character_decomposition(
     for (n, i), c in x.coefficients.items():
         g = group.projection(n)
         pieces.setdefault(g, {})[(n, i)] = c
-    return {g: ThetaElement(terms) for g, terms in sorted(pieces.items())}
+    return {g: ThetaElement._of(terms) for g, terms in sorted(pieces.items())}
 
 
 def truncated_hom_dimension(

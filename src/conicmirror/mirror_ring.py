@@ -8,9 +8,10 @@ ambient toric variety), with p = chi_{0,1} - 1 inverted.
 
 Two independent products:
 
-* multiply: the closed form on the canonical basis,
-  basis(n,i) * basis(n',i') = sum_j C(ell2, j) basis(n+n', i+i'+j) with
-  ell2 = ell1(n) + ell1(n') - ell1(n+n') >= 0;
+* multiply: the closed form on the canonical basis, computed by the kernel
+  product_terms, basis(n,i) * basis(n',i') = sum_j C(ell2, j) basis(n+n', i+i'+j)
+  with ell2 = ell1(n) + ell1(n') - ell1(n+n') >= 0. The theta ring and the
+  cover algebra multiply with the same kernel;
 * oracle_multiply/canonicalize: raw character sums multiplied additively
   (chi_{m,k} chi_{m',k'} = chi_{m+m',k+k'}), then rewritten to the canonical
   basis via chi_{m,k} = chi_{m, ell1(-m)} (1+p)^{k - ell1(-m)}.
@@ -25,25 +26,34 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, ClassVar, Mapping, Optional, Sequence, Union
 
 from .errors import NotRegular
-from .lattice_geometry import Covector, HeightedPolygon, as_fraction
+from .lattice_geometry import Covector, HeightedPolygon, as_fraction, hull_doubled_area
 
 BasisIndex = tuple[Covector, int]  # (n, i) for p^i chi_{-n, ell1(n)}
-Scalar = Union[int, str, Fraction]
+Scalar = Union[int, str, Fraction]  # accepted as input
+Coefficient = Union[int, Fraction]  # stored: int when integral, never zero
 
 
 @lru_cache(maxsize=None)
-def _check_full_dim(points: tuple) -> bool:
-    from .lattice_geometry import hull_doubled_area
+def _support(points: tuple) -> Optional[Callable[[Covector], int]]:
+    """ell1 of one point set, memoized per integer covector; None if degenerate."""
+    if hull_doubled_area(points) <= 0:
+        return None
 
-    return hull_doubled_area(points) > 0
+    @lru_cache(maxsize=None)
+    def support(n: Covector) -> int:
+        return max(n[0] * a[0] + n[1] * a[1] for a in points)
+
+    return support
 
 
-@lru_cache(maxsize=None)
-def _ell1_cached(points: tuple, n: Covector) -> int:
-    return max(n[0] * a[0] + n[1] * a[1] for a in points)
+def _support_of(poly: HeightedPolygon) -> Callable[[Covector], int]:
+    support = _support(poly.points)
+    if support is None:
+        poly.require_full_dimensional()
+    return support
 
 
 def ell1(poly: HeightedPolygon, n: Sequence[int]) -> int:
@@ -52,9 +62,7 @@ def ell1(poly: HeightedPolygon, n: Sequence[int]) -> int:
     Equals min{l : <-n, a> + l >= 0 for all a}, the least level l making
     chi_{-n, l} regular.
     """
-    if not _check_full_dim(poly.points):
-        poly.require_full_dimensional()
-    return _ell1_cached(poly.points, (int(n[0]), int(n[1])))
+    return _support_of(poly)((int(n[0]), int(n[1])))
 
 
 def ell2(poly: HeightedPolygon, n: Sequence[int], np: Sequence[int]) -> int:
@@ -66,65 +74,102 @@ def ell2(poly: HeightedPolygon, n: Sequence[int], np: Sequence[int]) -> int:
     )
 
 
+# ---------------------------------------------------------------------------
+# sparse exact elements
+
+
 def _clean(coeffs: dict) -> dict:
-    return {k: v for k, v in coeffs.items() if v != 0}
+    """Drop zero coefficients and store integral ones as int."""
+    return {
+        k: v.numerator if type(v) is Fraction and v.denominator == 1 else v
+        for k, v in coeffs.items()
+        if v
+    }
 
 
-@dataclass(frozen=True)
-class MirrorElement:
+class SparseExact:
+    """A frozen sparse map index -> exact coefficient.
+
+    Subclasses are one-field frozen dataclasses (declared with eq=False so
+    the comparison below is kept); _field names the field and _key brings
+    one index to integer tuples. The public constructor normalizes: indices
+    become integer tuples, coefficients exact (int when integral), repeated
+    indices are summed and zeros dropped. Results built inside the package
+    are clean already and are wrapped by _of without a second pass.
+    """
+
+    _field: ClassVar[str]
+
+    def __post_init__(self):
+        out: dict = {}
+        for k, c in dict(getattr(self, self._field)).items():
+            k = self._key(k)
+            out[k] = out.get(k, 0) + as_fraction(c)
+        object.__setattr__(self, self._field, _clean(out))
+
+    @classmethod
+    def _of(cls, data: dict):
+        obj = object.__new__(cls)
+        object.__setattr__(obj, cls._field, data)
+        return obj
+
+    def _data(self) -> dict:
+        return getattr(self, self._field)
+
+    @classmethod
+    def zero(cls):
+        return cls._of({})
+
+    def __add__(self, other):
+        out = dict(self._data())
+        for k, v in other._data().items():
+            out[k] = out.get(k, 0) + v
+        return self._of(_clean(out))
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, c: Scalar):
+        c = as_fraction(c)
+        return self._of(_clean({k: c * v for k, v in self._data().items()}))
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._data() == other._data()
+
+    def __hash__(self):
+        return hash(frozenset(self._data().items()))
+
+    def items(self) -> list:
+        return sorted(self._data().items())
+
+
+@dataclass(frozen=True, eq=False)
+class MirrorElement(SparseExact):
     """Sparse exact-coefficient element on the canonical basis (n, i).
 
     The index (n, i) denotes p^i chi_{-n, ell1(n)}; the character level is
-    always ell1(n) and is never stored.
+    always ell1(n) and is never stored. The same class is the theta ring's
+    element, with (n, i) read as the generator p_{n,i}.
     """
 
-    coefficients: Mapping[BasisIndex, Fraction] = field(default_factory=dict)
+    coefficients: Mapping[BasisIndex, Coefficient] = field(default_factory=dict)
+    _field: ClassVar[str] = "coefficients"
 
-    def __post_init__(self):
-        norm = {}
-        for (n, i), c in dict(self.coefficients).items():
-            key = ((int(n[0]), int(n[1])), int(i))
-            val = as_fraction(c)
-            if val != 0:
-                norm[key] = norm.get(key, Fraction(0)) + val
-        object.__setattr__(self, "coefficients", dict(_clean(norm)))
+    @staticmethod
+    def _key(k) -> BasisIndex:
+        n, i = k
+        return ((int(n[0]), int(n[1])), int(i))
 
     @classmethod
     def basis(cls, n: Sequence[int], i: int, c: Scalar = 1) -> "MirrorElement":
-        return cls({((int(n[0]), int(n[1])), int(i)): as_fraction(c)})
+        return cls._of(_clean({((int(n[0]), int(n[1])), int(i)): as_fraction(c)}))
 
     @classmethod
     def unit(cls) -> "MirrorElement":
         return cls.basis((0, 0), 0)
 
-    @classmethod
-    def zero(cls) -> "MirrorElement":
-        return cls({})
-
-    def __add__(self, other: "MirrorElement") -> "MirrorElement":
-        out = dict(self.coefficients)
-        for k, v in other.coefficients.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return MirrorElement(_clean(out))
-
-    def __sub__(self, other: "MirrorElement") -> "MirrorElement":
-        return self + other.scale(-1)
-
-    def scale(self, c: Scalar) -> "MirrorElement":
-        c = as_fraction(c)
-        return MirrorElement({k: c * v for k, v in self.coefficients.items()})
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MirrorElement)
-            and self.coefficients == other.coefficients
-        )
-
-    def __hash__(self):
-        return hash(frozenset(self.coefficients.items()))
-
-    def items(self) -> Iterable[tuple[BasisIndex, Fraction]]:
-        return sorted(self.coefficients.items())
+    def support_n(self) -> set[Covector]:
+        return {n for (n, _i) in self.coefficients}
 
     def __repr__(self):
         if not self.coefficients:
@@ -133,21 +178,42 @@ class MirrorElement:
         return "MirrorElement(" + " + ".join(parts) + ")"
 
 
-def multiply(poly: HeightedPolygon, x: MirrorElement, y: MirrorElement) -> MirrorElement:
-    """Closed-form product on the canonical basis, extended bilinearly.
+@lru_cache(maxsize=None)
+def _pascal_row(m: int) -> tuple[int, ...]:
+    return tuple(comb(m, j) for j in range(m + 1))
 
-    basis(n,i) * basis(n',i') = sum_{j=0}^{ell2} C(ell2, j) basis(n+n', i+i'+j).
+
+def product_terms(
+    poly: HeightedPolygon,
+    x: Mapping[BasisIndex, Coefficient],
+    y: Mapping[BasisIndex, Coefficient],
+) -> dict:
+    """The product kernel on clean coefficient dicts, returning a clean dict.
+
+    b(n,i) * b(n',i') = sum_{j=0}^{ell2} C(ell2, j) b(n+n', i+i'+j) with
+    ell2 = ell1(n) + ell1(n') - ell1(n+n'), extended bilinearly: the group
+    ring of N twisted by the cocycle (1+p)^ell2.
     """
-    out: dict[BasisIndex, Fraction] = {}
-    for (n, i), cx in x.coefficients.items():
-        for (np, ip), cy in y.coefficients.items():
-            c = cx * cy
-            m = ell2(poly, n, np)
+    if not (x and y):
+        return {}  # a zero factor never evaluates ell1
+    support = _support_of(poly)
+    out: dict = {}
+    get = out.get
+    for (n, i), cx in x.items():
+        ln = support(n)
+        for (np, ip), cy in y.items():
             nsum = (n[0] + np[0], n[1] + np[1])
-            for j in range(m + 1):
-                key = (nsum, i + ip + j)
-                out[key] = out.get(key, Fraction(0)) + c * comb(m, j)
-    return MirrorElement(_clean(out))
+            c = cx * cy
+            base = i + ip
+            for j, b in enumerate(_pascal_row(ln + support(np) - support(nsum))):
+                key = (nsum, base + j)
+                out[key] = get(key, 0) + c * b
+    return _clean(out)
+
+
+def multiply(poly: HeightedPolygon, x: MirrorElement, y: MirrorElement) -> MirrorElement:
+    """Closed-form product on the canonical basis, extended bilinearly."""
+    return MirrorElement._of(product_terms(poly, x.coefficients, y.coefficients))
 
 
 # ---------------------------------------------------------------------------
@@ -156,33 +222,21 @@ def multiply(poly: HeightedPolygon, x: MirrorElement, y: MirrorElement) -> Mirro
 RawIndex = tuple[Covector, int, int]  # (m, k, i) for p^i chi_{m, k}
 
 
-@dataclass(frozen=True)
-class RawCharacterSum:
+@dataclass(frozen=True, eq=False)
+class RawCharacterSum(SparseExact):
     """Sparse sum of p^i chi_{m,k} with every (m,k) in the cone C."""
 
-    terms: Mapping[RawIndex, Fraction] = field(default_factory=dict)
+    terms: Mapping[RawIndex, Coefficient] = field(default_factory=dict)
+    _field: ClassVar[str] = "terms"
 
-    def __post_init__(self):
-        norm = {}
-        for (m, k, i), c in dict(self.terms).items():
-            key = ((int(m[0]), int(m[1])), int(k), int(i))
-            val = as_fraction(c)
-            if val != 0:
-                norm[key] = norm.get(key, Fraction(0)) + val
-        object.__setattr__(self, "terms", dict(_clean(norm)))
+    @staticmethod
+    def _key(key) -> RawIndex:
+        m, k, i = key
+        return ((int(m[0]), int(m[1])), int(k), int(i))
 
     @classmethod
     def character(cls, m: Sequence[int], k: int, i: int = 0, c: Scalar = 1):
-        return cls({((int(m[0]), int(m[1])), int(k), int(i)): as_fraction(c)})
-
-    def __add__(self, other: "RawCharacterSum") -> "RawCharacterSum":
-        out = dict(self.terms)
-        for key, v in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + v
-        return RawCharacterSum(_clean(out))
-
-    def items(self):
-        return sorted(self.terms.items())
+        return cls({(tuple(m), k, i): c})
 
 
 def check_regular(poly: HeightedPolygon, x: RawCharacterSum) -> None:
@@ -199,11 +253,9 @@ def embed(poly: HeightedPolygon, x: MirrorElement) -> RawCharacterSum:
 
     basis(n, i) = p^i chi_{-n, ell1(n)}.
     """
-    terms = {}
-    for (n, i), c in x.coefficients.items():
-        m = (-n[0], -n[1])
-        terms[(m, ell1(poly, n), i)] = c
-    return RawCharacterSum(terms)
+    return RawCharacterSum._of(
+        {((-n[0], -n[1]), ell1(poly, n), i): c for (n, i), c in x.coefficients.items()}
+    )
 
 
 def oracle_multiply(
@@ -216,12 +268,12 @@ def oracle_multiply(
     """
     check_regular(poly, x)
     check_regular(poly, y)
-    out: dict[RawIndex, Fraction] = {}
+    out: dict = {}
     for (m, k, i), cx in x.terms.items():
         for (mp, kp, ip), cy in y.terms.items():
             key = ((m[0] + mp[0], m[1] + mp[1]), k + kp, i + ip)
-            out[key] = out.get(key, Fraction(0)) + cx * cy
-    return RawCharacterSum(_clean(out))
+            out[key] = out.get(key, 0) + cx * cy
+    return RawCharacterSum._of(_clean(out))
 
 
 def canonicalize(poly: HeightedPolygon, x: RawCharacterSum) -> MirrorElement:
@@ -233,14 +285,14 @@ def canonicalize(poly: HeightedPolygon, x: RawCharacterSum) -> MirrorElement:
     slack is negative (the character is not a regular function).
     """
     check_regular(poly, x)
-    out: dict[BasisIndex, Fraction] = {}
+    out: dict = {}
     for (m, k, i), c in x.terms.items():
         n = (-m[0], -m[1])
         d = k - ell1(poly, n)
         for j in range(d + 1):
             key = (n, i + j)
-            out[key] = out.get(key, Fraction(0)) + c * comb(d, j)
-    return MirrorElement(_clean(out))
+            out[key] = out.get(key, 0) + c * comb(d, j)
+    return MirrorElement._of(_clean(out))
 
 
 def oracle_product(

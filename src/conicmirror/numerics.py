@@ -22,7 +22,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import RootFindingFailure, UndefinedAtOrigin
-from .lattice_geometry import HeightedPolygon, Point, primitivize, vsub
+from .lattice_geometry import HeightedPolygon, Point, _exgcd, primitivize, vsub
 from .tropical_curves import Leg, TropicalCurve
 
 RealPoint = tuple[float, float]
@@ -44,10 +44,10 @@ class PatchworkParams:
     coefficients: Optional[Mapping[Point, complex]] = None
 
     def __post_init__(self):
-        if not (float(self.t) > 1.0):
-            raise ValueError("t must be > 1")
-        if not (float(self.epsilon_loc) > 0.0):
-            raise ValueError("epsilon_loc must be > 0")
+        if not (1.0 < float(self.t) < math.inf):
+            raise ValueError("t must be finite and > 1")
+        if not (0.0 < float(self.epsilon_loc) < math.inf):
+            raise ValueError("epsilon_loc must be finite and > 0")
         object.__setattr__(self, "t", float(self.t))
         object.__setattr__(self, "epsilon_loc", float(self.epsilon_loc))
         if self.coefficients is not None:
@@ -461,20 +461,6 @@ def hausdorff_to_tropical(
     return max(cloud_to_curve, curve_to_cloud)
 
 
-def _exgcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def leg_zero_samples(
     poly: HeightedPolygon,
     params: PatchworkParams,
@@ -552,8 +538,8 @@ class MomentParams:
     chi: float
 
     def __post_init__(self):
-        if not (float(self.epsilon_blowup) > 0.0):
-            raise ValueError("epsilon_blowup must be > 0")
+        if not (0.0 < float(self.epsilon_blowup) < math.inf):
+            raise ValueError("epsilon_blowup must be finite and > 0")
         if not (0.0 <= float(self.chi) <= 1.0):
             raise ValueError("chi must lie in [0, 1]")
         object.__setattr__(self, "epsilon_blowup", float(self.epsilon_blowup))
@@ -577,8 +563,8 @@ def moment_map(
     """
     u = float(abs_u)
     h = float(abs_h)
-    if u < 0 or h < 0:
-        raise ValueError("moduli must be nonnegative")
+    if not (0.0 <= u < math.inf and 0.0 <= h < math.inf):
+        raise ValueError("moduli must be finite and nonnegative")
     if params.chi == 0.0:
         return math.pi * u * u
     if params.chi == 1.0:

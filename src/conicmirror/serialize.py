@@ -57,7 +57,7 @@ def envelope(kind: str, payload: Mapping[str, Any]) -> dict:
 
 
 def canonical_json(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------- polygons
@@ -137,19 +137,15 @@ def curve_to_json(curve: TropicalCurve) -> dict:
 # ---------------------------------------------------------- ring elements
 
 
-def mirror_element_to_json(x: MirrorElement) -> list:
+def _terms_to_json(x: MirrorElement) -> list:
     return [
         {"n": list(n), "i": i, "c": rational_str(c)} for (n, i), c in x.items()
     ]
 
 
-def mirror_element_from_json(data: Any, where: str = "element") -> MirrorElement:
-    if isinstance(data, Mapping) and data.get("theta"):
-        raise SchemaError(f"{where}: got a theta element where a mirror element is required")
-    if not isinstance(data, list):
-        raise SchemaError(f"{where}: expected a list of terms")
+def _terms_from_json(rows: list, where: str) -> MirrorElement:
     coeffs: dict = {}
-    for k, item in enumerate(data):
+    for k, item in enumerate(rows):
         if not isinstance(item, Mapping) or not {"n", "i", "c"} <= set(item):
             raise SchemaError(f"{where}[{k}]: expected an object with n, i, c")
         n = _int_pair(item["n"], f"{where}[{k}].n")
@@ -157,17 +153,24 @@ def mirror_element_from_json(data: Any, where: str = "element") -> MirrorElement
         if not isinstance(i, int) or isinstance(i, bool):
             raise SchemaError(f"{where}[{k}].i: expected an integer")
         c = parse_rational(item["c"], f"{where}[{k}].c")
-        coeffs[(n, i)] = coeffs.get((n, i), Fraction(0)) + c
+        coeffs[(n, i)] = coeffs.get((n, i), 0) + c
     return MirrorElement(coeffs)
 
 
+def mirror_element_to_json(x: MirrorElement) -> list:
+    return _terms_to_json(x)
+
+
+def mirror_element_from_json(data: Any, where: str = "element") -> MirrorElement:
+    if isinstance(data, Mapping) and data.get("theta"):
+        raise SchemaError(f"{where}: got a theta element where a mirror element is required")
+    if not isinstance(data, list):
+        raise SchemaError(f"{where}: expected a list of terms")
+    return _terms_from_json(data, where)
+
+
 def theta_element_to_json(x: ThetaElement) -> dict:
-    return {
-        "theta": True,
-        "terms": [
-            {"n": list(n), "i": i, "c": rational_str(c)} for (n, i), c in x.items()
-        ],
-    }
+    return {"theta": True, "terms": _terms_to_json(x)}
 
 
 def theta_element_from_json(data: Any, where: str = "element") -> ThetaElement:
@@ -176,18 +179,7 @@ def theta_element_from_json(data: Any, where: str = "element") -> ThetaElement:
     terms = data.get("terms")
     if not isinstance(terms, list):
         raise SchemaError(f"{where}.terms: expected a list")
-    coeffs: dict = {}
-    for k, item in enumerate(terms):
-        if not isinstance(item, Mapping) or not {"n", "i", "c"} <= set(item):
-            raise SchemaError(f"{where}.terms[{k}]: expected an object with n, i, c")
-        n = _int_pair(item["n"], f"{where}.terms[{k}].n")
-        i = item["i"]
-        if not isinstance(i, int) or isinstance(i, bool):
-            raise SchemaError(f"{where}.terms[{k}].i: expected an integer")
-        coeffs[(n, i)] = coeffs.get((n, i), Fraction(0)) + parse_rational(
-            item["c"], f"{where}.terms[{k}].c"
-        )
-    return ThetaElement(coeffs)
+    return _terms_from_json(terms, f"{where}.terms")
 
 
 # ------------------------------------------------------ sections, bundles
@@ -261,7 +253,7 @@ def cover_element_from_json(data: Any, where: str = "element") -> CoverAlgebraEl
         if not isinstance(i, int) or isinstance(i, bool):
             raise SchemaError(f"{where}.entries[{k}].i: expected an integer")
         key = (g, h, n, i)
-        out[key] = out.get(key, Fraction(0)) + parse_rational(
+        out[key] = out.get(key, 0) + parse_rational(
             item["c"], f"{where}.entries[{k}].c"
         )
     return CoverAlgebraElement(out)

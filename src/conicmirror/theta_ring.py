@@ -8,117 +8,37 @@ commutative product
 
 all structure constants being the positive binomial counts. The map
 p_{n,i} -> p^i chi_{-n, ell1(n)} is an index-identity bijection onto the
-canonical mirror basis; verify_mirror_iso checks the homomorphism property
-exhaustively against the independent character-sum engine of mirror_ring.
+canonical mirror basis, so both rings share one element class and one
+product kernel (mirror_ring); verify_mirror_iso checks the homomorphism
+property exhaustively against the independent character-sum engine of
+mirror_ring.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-from math import comb
-from typing import Iterable, Mapping, Sequence, Union
+from dataclasses import dataclass
 
-from .lattice_geometry import Covector, HeightedPolygon, as_fraction
-from .mirror_ring import (
-    MirrorElement,
-    ell2,
-    oracle_product,
-)
+from .lattice_geometry import HeightedPolygon
+from .mirror_ring import BasisIndex, MirrorElement, multiply, oracle_product
 
-ThetaGen = tuple[Covector, int]  # (n, i)
-Scalar = Union[int, str, Fraction]
-
-
-def _clean(coeffs: dict) -> dict:
-    return {k: v for k, v in coeffs.items() if v != 0}
-
-
-@dataclass(frozen=True)
-class ThetaElement:
-    """Sparse exact-coefficient element on the generators p_{n,i}."""
-
-    coefficients: Mapping[ThetaGen, Fraction] = field(default_factory=dict)
-
-    def __post_init__(self):
-        norm = {}
-        for (n, i), c in dict(self.coefficients).items():
-            key = ((int(n[0]), int(n[1])), int(i))
-            val = as_fraction(c)
-            if val != 0:
-                norm[key] = norm.get(key, Fraction(0)) + val
-        object.__setattr__(self, "coefficients", dict(_clean(norm)))
-
-    @classmethod
-    def basis(cls, n: Sequence[int], i: int, c: Scalar = 1) -> "ThetaElement":
-        return cls({((int(n[0]), int(n[1])), int(i)): as_fraction(c)})
-
-    @classmethod
-    def unit(cls) -> "ThetaElement":
-        return cls.basis((0, 0), 0)
-
-    @classmethod
-    def zero(cls) -> "ThetaElement":
-        return cls({})
-
-    def __add__(self, other: "ThetaElement") -> "ThetaElement":
-        out = dict(self.coefficients)
-        for k, v in other.coefficients.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return ThetaElement(_clean(out))
-
-    def __sub__(self, other: "ThetaElement") -> "ThetaElement":
-        return self + other.scale(-1)
-
-    def scale(self, c: Scalar) -> "ThetaElement":
-        c = as_fraction(c)
-        return ThetaElement({k: c * v for k, v in self.coefficients.items()})
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ThetaElement)
-            and self.coefficients == other.coefficients
-        )
-
-    def __hash__(self):
-        return hash(frozenset(self.coefficients.items()))
-
-    def items(self) -> Iterable[tuple[ThetaGen, Fraction]]:
-        return sorted(self.coefficients.items())
-
-    def support_n(self) -> set[Covector]:
-        return {n for (n, _i) in self.coefficients}
-
-    def __repr__(self):
-        if not self.coefficients:
-            return "ThetaElement(0)"
-        parts = [f"{c}*p[{n},{i}]" for (n, i), c in self.items()]
-        return "ThetaElement(" + " + ".join(parts) + ")"
+ThetaGen = BasisIndex  # (n, i) for p_{n,i}
+ThetaElement = MirrorElement  # p_{n,i} and p^i chi_{-n, ell1(n)} share the index
 
 
 def theta_multiply(
     poly: HeightedPolygon, x: ThetaElement, y: ThetaElement
 ) -> ThetaElement:
     """Bilinear extension of the binomial structure constants."""
-    out: dict[ThetaGen, Fraction] = {}
-    for (n, i), cx in x.coefficients.items():
-        for (np, ip), cy in y.coefficients.items():
-            c = cx * cy
-            m = ell2(poly, n, np)
-            nsum = (n[0] + np[0], n[1] + np[1])
-            for j in range(m + 1):
-                key = (nsum, i + ip + j)
-                out[key] = out.get(key, Fraction(0)) + c * comb(m, j)
-    return ThetaElement(_clean(out))
+    return multiply(poly, x, y)
 
 
 def mir(poly: HeightedPolygon, x: ThetaElement) -> MirrorElement:
-    """p_{n,i} -> p^i chi_{-n, ell1(n)}: index-identity onto the mirror basis."""
-    return MirrorElement(dict(x.coefficients))
+    """p_{n,i} -> p^i chi_{-n, ell1(n)}: the identity on indices."""
+    return x
 
 
 def mir_inverse(poly: HeightedPolygon, x: MirrorElement) -> ThetaElement:
-    return ThetaElement(dict(x.coefficients))
+    return x
 
 
 @dataclass(frozen=True)
@@ -153,21 +73,17 @@ def verify_mirror_iso(
         for b in range(-bound_n, bound_n + 1)
         for i in range(-bound_i, bound_i + 1)
     ]
+    elements = [ThetaElement.basis(*g) for g in gens]
     failures = []
-    pairs = 0
-    for g1 in gens:
-        x = ThetaElement.basis(*g1)
-        mx = mir(poly, x)
-        for g2 in gens:
-            y = ThetaElement.basis(*g2)
-            pairs += 1
+    for g1, x in zip(gens, elements):
+        for g2, y in zip(gens, elements):
             lhs = mir(poly, theta_multiply(poly, x, y))
-            rhs = oracle_product(poly, mx, mir(poly, y))
+            rhs = oracle_product(poly, mir(poly, x), mir(poly, y))
             if lhs != rhs:
                 failures.append((g1, g2))
     return MirrorIsoReport(
         bound_n=bound_n,
         bound_i=bound_i,
-        pairs_checked=pairs,
+        pairs_checked=len(gens) ** 2,
         failures=tuple(failures),
     )

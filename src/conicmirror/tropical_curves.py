@@ -28,6 +28,7 @@ from .lattice_geometry import (
     cross,
     gcd2,
     is_adapted,
+    orient,
     pairing,
     perp,
     primitivize,
@@ -162,6 +163,22 @@ def _oriented_dual_edge(p: Point, q: Point) -> tuple[Point, Point]:
     return (p, q) if p < q else (q, p)
 
 
+def _is_edge_tie(argmax: Sequence[Point], alpha: Point, beta: Point) -> bool:
+    """The tie holds both ends of the edge [alpha, beta] and nothing off it.
+
+    Points of A inside the edge that the triangulation leaves unused lie on
+    the same lifted segment, so they tie with alpha and beta along the leg.
+    """
+    return (
+        alpha in argmax
+        and beta in argmax
+        and all(
+            orient(alpha, beta, q) == 0 and min(alpha, beta) <= q <= max(alpha, beta)
+            for q in argmax
+        )
+    )
+
+
 def tropical_curve(poly: HeightedPolygon, tri: Triangulation) -> TropicalCurve:
     """The curve dual to the triangulation induced by the heights.
 
@@ -191,7 +208,7 @@ def tropical_curve(poly: HeightedPolygon, tri: Triangulation) -> TropicalCurve:
         for s in (1, -1):
             cand = (s * prim[0], s * prim[1])
             probe = (base[0] + cand[0], base[1] + cand[1])
-            if eval_tropical(L, probe)[1] == tuple(sorted((alpha, beta))):
+            if _is_edge_tie(eval_tropical(L, probe)[1], alpha, beta):
                 sign = s
                 direction = cand
                 break

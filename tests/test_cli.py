@@ -94,28 +94,31 @@ class TestTropical:
 
 class TestRingMul:
     def test_product_matches_between_commands(self, tmp_path, capsys):
-        x = [{"n": [1, 0], "i": 0, "c": "1"}]
-        y = [{"n": [-1, -1], "i": 0, "c": "1"}]
-        job = tmp_path / "job.json"
-        job.write_text(json.dumps({"polygon": FOUR_POINT, "x": x, "y": y}))
-        assert main(["ring-mul", "--in", str(job)]) == 0
-        ring = json.loads(capsys.readouterr().out)["product"]
-
-        jobt = tmp_path / "jobt.json"
-        jobt.write_text(
-            json.dumps(
-                {
-                    "polygon": FOUR_POINT,
-                    "x": {"theta": True, "terms": x},
-                    "y": {"theta": True, "terms": y},
-                }
-            )
-        )
-        assert main(["theta-mul", "--in", str(jobt)]) == 0
-        theta = json.loads(capsys.readouterr().out)["product"]
-        assert theta["terms"] == ring
+        x1 = [{"n": [1, 0], "i": 0, "c": "1"}]
+        y1 = [{"n": [-1, -1], "i": 0, "c": "1"}]
+        x2 = [{"n": [1, 0], "i": 0, "c": "5/7"}]
+        y2 = [{"n": [-1, -1], "i": 0, "c": "7/5"}, {"n": [1, 0], "i": 0, "c": "1/2"}]
         # ell2((1,0),(-1,-1)) = 2 on the 4-point polygon: binomial row 1,2,1
-        assert [t["c"] for t in ring] == ["1", "2", "1"]
+        for x, y, cs in ((x1, y1, ["1", "2", "1"]), (x2, y2, ["1", "2", "1", "5/14"])):
+            job = tmp_path / "job.json"
+            job.write_text(json.dumps({"polygon": FOUR_POINT, "x": x, "y": y}))
+            assert main(["ring-mul", "--in", str(job)]) == 0
+            ring = json.loads(capsys.readouterr().out)["product"]
+
+            jobt = tmp_path / "jobt.json"
+            jobt.write_text(
+                json.dumps(
+                    {
+                        "polygon": FOUR_POINT,
+                        "x": {"theta": True, "terms": x},
+                        "y": {"theta": True, "terms": y},
+                    }
+                )
+            )
+            assert main(["theta-mul", "--in", str(jobt)]) == 0
+            theta = json.loads(capsys.readouterr().out)["product"]
+            assert theta["terms"] == ring
+            assert [t["c"] for t in ring] == cs
 
     def test_missing_factor_exits_2(self, tmp_path):
         job = tmp_path / "job.json"
@@ -217,6 +220,13 @@ class TestMoment:
         job.write_text(json.dumps({"chi": 0.5, "abs_u": 1.0, "abs_h": 1.0}))
         assert main(["moment", "--in", str(job), "--eps-blowup", "0.3"]) == 2
 
+    def test_infinite_modulus_exits_2(self, tmp_path, capsys):
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({"chi": 1, "abs_u": "inf", "abs_h": 1}))
+        assert main(["moment", "--in", str(job), "--eps-blowup", "0.3"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "SchemaError" in out.err
+
 
 class TestAmoeba:
     def test_csv_output_and_determinism(self, simplex_path, tmp_path):
@@ -259,6 +269,12 @@ class TestAmoeba:
         monkeypatch.setenv("CONIC_MIRROR_THREADS", "4")
         assert main(args + [str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("t", ["inf", "nan"])
+    def test_non_finite_t_exits_2(self, simplex_path, capsys, t):
+        assert main(["amoeba", "--in", simplex_path, "--t", t]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "SchemaError" in out.err
 
     def test_bad_grid_exits_2(self, simplex_path):
         assert (

@@ -72,6 +72,19 @@ def test_multiply_examples(simplex):
     x = B((2, -1), 3, Fraction(5, 7)) + B((0, 1), -2)
     assert multiply(simplex, MirrorElement.unit(), x) == x
     assert multiply(simplex, B((-1, -1), 0), B((-1, -1), 0)) == B((-2, -2), 0)
+    # int coefficients times a Fraction: the middle binomial terms cancel
+    x = B((1, 0), 0, 2) + B((1, 0), 1, -2) + B((0, 0), 0, 1)
+    prod = multiply(simplex, x, B((0, 1), 0, "1/2"))
+    assert ((1, 1), 1) not in prod.coefficients
+    assert prod.coefficients == {
+        ((1, 1), 0): Fraction(1),
+        ((1, 1), 2): Fraction(-1),
+        ((0, 1), 0): Fraction(1, 2),
+    }
+    assert prod == oracle_product(simplex, x, B((0, 1), 0, "1/2"))
+    # integral values are stored as int, the others as Fraction
+    assert {type(c) for c in prod.coefficients.values()} == {int, Fraction}
+    assert type(prod.coefficients[((1, 1), 0)]) is int
 
 
 def test_multiply_commutative_random(simplex, four_point):

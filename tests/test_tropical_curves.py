@@ -133,6 +133,21 @@ def test_parallel_boundary_edges_give_parallel_legs():
     assert left in (right, (-right[0], -right[1]))
 
 
+def test_flat_triangle_legs_tie_with_unused_edge_points():
+    # zero heights on the degree-2 triangle: the edge midpoints are unused
+    # and tie with the edge's ends along every leg
+    pts = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (0, 2)]
+    poly = HeightedPolygon.create(pts, 0)
+    curve = tropical_curve(poly, regular_triangulation(poly))
+    assert sorted(leg.direction for leg in curve.legs) == [(-1, 0), (0, -1), (1, 1)]
+    assert balancing_defect(curve, 0) == (0, 0)
+    for leg in curve.legs:
+        alpha, beta = leg.dual_edge
+        mid = ((alpha[0] + beta[0]) // 2, (alpha[1] + beta[1]) // 2)
+        p = (leg.base[0] + leg.direction[0], leg.base[1] + leg.direction[1])
+        assert eval_tropical(curve.polynomial, p)[1] == tuple(sorted((alpha, mid, beta)))
+
+
 def test_chamber_of_examples(four_point):
     assert chamber_of(four_point, (3, 0)) == (1, 0)
     assert chamber_of(four_point, (0, 0)) == (0, 0)  # 1/4 beats 0, 0, -1/4... 0
