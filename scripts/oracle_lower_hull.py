@@ -5,9 +5,12 @@ normal points down (nz < 0), and projects them to triangles. Heights must be
 given as exact rationals; they are scaled to integers so the float hull is
 exact for small inputs. Non-generic inputs show up as non-simplicial facets
 (qhull merges coplanar triangles only with QJ off; we use Qt and then group
-coplanar facets).
+coplanar facets). Qbb rescales the lifted coordinate to the range of the
+others, so heights with large common denominators (perturb_heights) stay
+within qhull's precision.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -19,11 +22,11 @@ def lower_hull_cells(points, heights):
     hts = [Fraction(h) for h in heights]
     lcm = 1
     for h in hts:
-        lcm = lcm * h.denominator // np.gcd(lcm, h.denominator)
+        lcm = lcm * h.denominator // math.gcd(lcm, h.denominator)
     lifted = np.array(
         [[p[0], p[1], int(h * lcm)] for p, h in zip(pts, hts)], dtype=float
     )
-    hull = ConvexHull(lifted)
+    hull = ConvexHull(lifted, qhull_options="Qt Qbb")
     # group hull triangles by their supporting plane, keep downward ones
     faces = {}
     for simplex, eq in zip(hull.simplices, hull.equations):

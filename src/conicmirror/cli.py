@@ -236,6 +236,7 @@ def _cmd_ring_mul(spec: JobSpec) -> int:
         raise SchemaError("ring-mul input needs x and y elements")
     x = mirror_element_from_json(data["x"], "input.x")
     y = mirror_element_from_json(data["y"], "input.y")
+    poly.require_full_dimensional()
     product = mirror_multiply(poly, x, y)
     payload = envelope("ring_product", {"product": mirror_element_to_json(product)})
     _emit(spec, canonical_json(payload))
@@ -249,6 +250,7 @@ def _cmd_theta_mul(spec: JobSpec) -> int:
         raise SchemaError("theta-mul input needs x and y elements")
     x = theta_element_from_json(data["x"], "input.x")
     y = theta_element_from_json(data["y"], "input.y")
+    poly.require_full_dimensional()
     product = theta_multiply(poly, x, y)
     payload = envelope("theta_product", {"product": theta_element_to_json(product)})
     _emit(spec, canonical_json(payload))

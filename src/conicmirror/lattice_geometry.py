@@ -11,6 +11,7 @@ arithmetic; no floating point.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -199,6 +200,8 @@ class HeightedPolygon:
             raise ValueError("heights must be parallel to points")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "heights", hts)
+        # point -> id; not a field, so equality, hashing and repr ignore it
+        object.__setattr__(self, "_index", {p: i for i, p in enumerate(pts)})
 
     @classmethod
     def create(
@@ -219,12 +222,16 @@ class HeightedPolygon:
     def height(self, point: Sequence[int]) -> Fraction:
         p = (int(point[0]), int(point[1]))
         try:
-            return self.heights[self.points.index(p)]
-        except ValueError:
-            raise KeyError(f"point {p} not in A")
+            return self.heights[self._index[p]]
+        except KeyError:
+            raise KeyError(f"point {p} not in A") from None
 
     def index_of(self, point: Sequence[int]) -> int:
-        return self.points.index((int(point[0]), int(point[1])))
+        p = (int(point[0]), int(point[1]))
+        try:
+            return self._index[p]
+        except KeyError:
+            raise ValueError(f"point {p} not in A") from None
 
     @property
     def is_full_dimensional(self) -> bool:
@@ -373,82 +380,143 @@ def build_triangulation(
 # lower-hull regular triangulation
 
 
-def _affine_through(
-    a: Point, b: Point, c: Point, ha: Fraction, hb: Fraction, hc: Fraction
-):
-    """The affine function P(x) = u.x + w with P(a)=ha, P(b)=hb, P(c)=hc.
+def _common_denominator(heights: Iterable[Fraction]) -> int:
+    lcm = 1
+    for h in heights:
+        lcm = lcm * h.denominator // math.gcd(lcm, h.denominator)
+    return lcm
 
-    Returns (u1, u2, w) as Fractions; raises ZeroDivisionError style ValueError
-    if a, b, c are collinear.
+
+def _lift(poly: HeightedPolygon) -> list[tuple[int, int, int]]:
+    """The points (x, y, L*nu) with L the common height denominator.
+
+    Scaling every height by L > 0 keeps the lower hull, and makes every
+    above / on / below test one integer 3x3 determinant.
     """
-    d = cross(vsub(b, a), vsub(c, a))
-    if d == 0:
-        raise ValueError("collinear triple")
-    db, dc = hb - ha, hc - ha
-    ab, ac = vsub(b, a), vsub(c, a)
-    # solve [ab; ac] u = (db, dc)
-    u1 = Fraction(db * ac[1] - dc * ab[1], d)
-    u2 = Fraction(ab[0] * dc - ac[0] * db, d)
-    w = ha - (u1 * a[0] + u2 * a[1])
-    return u1, u2, w
+    lcm = _common_denominator(poly.heights)
+    return [
+        (p[0], p[1], h.numerator * (lcm // h.denominator))
+        for p, h in zip(poly.points, poly.heights)
+    ]
+
+
+def _side(lifted: Sequence[tuple[int, int, int]], cell: Sequence[int], q: int) -> int:
+    """> 0, 0 or < 0 as lifted q lies above, on or below the lifted cell's plane."""
+    a, b, c = (lifted[i] for i in cell)
+    ux, uy, uz = b[0] - a[0], b[1] - a[1], b[2] - a[2]
+    vx, vy, vz = c[0] - a[0], c[1] - a[1], c[2] - a[2]
+    wx, wy, wz = lifted[q][0] - a[0], lifted[q][1] - a[1], lifted[q][2] - a[2]
+    det = wx * (uy * vz - uz * vy) + wy * (uz * vx - ux * vz) + wz * (ux * vy - uy * vx)
+    return det if ux * vy - uy * vx > 0 else -det
+
+
+def _pivot(lifted: Sequence[tuple[int, int, int]], a: int, b: int) -> Optional[list[int]]:
+    """The lower-hull face left of the lower-hull edge a -> b, or None.
+
+    Gift-wrapping step: of the points strictly left of a -> b, the one whose
+    plane through lifted a, b is lowest spans the face; the face is every
+    point on that plane, in id order. None when no point lies left of a -> b,
+    i.e. a -> b runs along the boundary with the polygon on its right.
+    """
+    ax, ay, az = lifted[a]
+    ux, uy, uz = lifted[b][0] - ax, lifted[b][1] - ay, lifted[b][2] - az
+    best = None
+    for x, y, z in lifted:
+        wx, wy, wz = x - ax, y - ay, z - az
+        nz = ux * wy - uy * wx
+        if nz <= 0:
+            continue
+        if best is None or wx * best[0] + wy * best[1] + wz * best[2] < 0:
+            best = (uy * wz - uz * wy, uz * wx - ux * wz, nz)
+    if best is None:
+        return None
+    nx, ny, nz = best
+    return [
+        q for q, (x, y, z) in enumerate(lifted)
+        if (x - ax) * nx + (y - ay) * ny + (z - az) * nz == 0
+    ]
+
+
+def _first_edge(
+    poly: HeightedPolygon, lifted: Sequence[tuple[int, int, int]]
+) -> tuple[int, int]:
+    """The lower-hull edge leaving the lexicographically smallest point along
+    its ccw hull edge: minimal slope, the farthest point on a tie."""
+    hull = poly.hull()
+    p0, p1 = hull[0], hull[1]
+    i0 = poly.index_of(p0)
+    d = vsub(p1, p0)
+    z0 = lifted[i0][2]
+    best, best_t, best_dz = None, 0, 0
+    for q, p in enumerate(poly.points):
+        if q == i0 or orient(p0, p1, p) != 0:
+            continue
+        t = pairing(d, vsub(p, p0))
+        dz = lifted[q][2] - z0
+        if best is None or dz * best_t < best_dz * t or (
+            dz * best_t == best_dz * t and t > best_t
+        ):
+            best, best_t, best_dz = q, t, dz
+    return i0, best
+
+
+def _first_triangle(pts: Sequence[Point], face: Sequence[int]) -> tuple[int, int, int]:
+    """The lexicographically smallest non-collinear triple of a sorted face."""
+    return next(
+        t for t in itertools.combinations(face, 3)
+        if orient(pts[t[0]], pts[t[1]], pts[t[2]]) != 0
+    )
 
 
 def regular_triangulation(poly: HeightedPolygon) -> Triangulation:
     """The regular triangulation induced by the heights.
 
-    A triple of points spans a lower facet iff the affine function
-    interpolating its lifted vertices lies weakly below all lifted points. The
-    facet is the hull of every on-plane point: if that polygon has more than 3
-    vertices the heights are non-generic and NonTriangularCell is raised; if it
-    is a triangle, the cell is emitted once (on-plane points inside the facet
-    or its edges are not vertices of the decomposition and go unused, as do
-    points lifted strictly above the lower hull).
+    The cells are the lower faces of the lifted points (m, nu(m)), found by
+    exact gift wrapping (Chand-Kapur, J. ACM 17, 1970): start from the
+    lower-hull edge over the boundary at the lexicographically smallest point,
+    then pivot across every edge of each face found (see _pivot) until only
+    boundary edges remain. Heights are scaled to integers first, so every
+    test is an integer determinant. O(|A| * cells).
 
-    Brute force over triples with early exit, O(|A|^4) worst case; intended for
-    the small point sets of 2-dimensional Newton polygons.
+    A face is every point on its plane. If its hull has more than 3 vertices
+    the heights are non-generic and NonTriangularCell is raised; of several
+    such faces, the one holding the lexicographically smallest non-collinear
+    triple is named. On-plane points inside a triangular face or on its edges
+    are not vertices of the decomposition and go unused, as do points lifted
+    strictly above the lower hull.
     """
     poly.require_full_dimensional()
     pts = poly.points
-    hts = poly.heights
-    n = len(pts)
+    lifted = _lift(poly)
     cells = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                a, b, c = pts[i], pts[j], pts[k]
-                if cross(vsub(b, a), vsub(c, a)) == 0:
-                    continue
-                u1, u2, w = _affine_through(a, b, c, hts[i], hts[j], hts[k])
-                coplanar = []
-                is_facet = True
-                for q in range(n):
-                    if q in (i, j, k):
-                        continue
-                    val = hts[q] - (u1 * pts[q][0] + u2 * pts[q][1] + w)
-                    if val < 0:
-                        is_facet = False
-                        break
-                    if val == 0:
-                        coplanar.append(q)
-                if not is_facet:
-                    continue
-                if coplanar:
-                    face = sorted([i, j, k] + coplanar)
-                    verts = convex_hull([pts[q] for q in face])
-                    if len(verts) > 3:
-                        raise NonTriangularCell(
-                            f"lower-hull face through points {face} "
-                            f"({[pts[q] for q in face]}) is not a triangle; "
-                            "heights are non-generic (try perturb_heights)"
-                        )
-                    # facet is a triangle with extra on-plane non-vertex
-                    # points; emit it only for the triple that is its vertex
-                    # set, so each facet appears exactly once
-                    if {a, b, c} != set(verts):
-                        continue
-                cells.append((i, j, k))
-    if not cells:
-        raise DegeneratePolygon("no lower-hull facets found")
+    non_triangular = []
+    # (u, v) is done once the face left of u -> v is known; todo holds the
+    # edges still to pivot across
+    done: set[tuple[int, int]] = set()
+    todo = [_first_edge(poly, lifted)]
+    while todo:
+        a, b = todo.pop()
+        if (a, b) in done:
+            continue
+        face = _pivot(lifted, a, b)
+        if face is None:
+            continue
+        ring = [poly.index_of(p) for p in convex_hull(pts[q] for q in face)]
+        for u, v in zip(ring, ring[1:] + ring[:1]):
+            done.add((u, v))
+            if (v, u) not in done:
+                todo.append((v, u))
+        if len(ring) == 3:
+            cells.append(ring)
+        else:
+            non_triangular.append(face)
+    if non_triangular:
+        face = min(non_triangular, key=lambda f: _first_triangle(pts, f))
+        raise NonTriangularCell(
+            f"lower-hull face through points {face} "
+            f"({[pts[q] for q in face]}) is not a triangle; "
+            "heights are non-generic (try perturb_heights)"
+        )
     return build_triangulation(pts, cells)
 
 
@@ -474,14 +542,33 @@ def unimodular_triangulation(poly: HeightedPolygon) -> Triangulation:
 
 
 def is_adapted(poly: HeightedPolygon, tri: Triangulation) -> bool:
-    """True iff the heights induce exactly this triangulation (up to cell order)."""
+    """True iff the heights induce exactly this triangulation (up to cell order).
+
+    Local criterion (De Loera-Rambau-Santos, Triangulations, 2010, ch. 2):
+    the lift is folded strictly convexly across every interior edge, i.e. the
+    far vertex of one adjacent cell lifts strictly above the other cell's
+    plane, and every unused point lies on or above the plane of a cell that
+    contains it. Integer determinants only; O(edges + unused * cells).
+    """
     if tuple(tri.points) != tuple(poly.points):
         return False
-    try:
-        induced = regular_triangulation(poly)
-    except (NonTriangularCell, DegeneratePolygon):
-        return False
-    return set(induced.cells) == set(tri.cells)
+    lifted = _lift(poly)
+    for e in tri.interior_edges():
+        (far,) = set(tri.cells[e.cells[1]]) - set(e.v)
+        if _side(lifted, tri.cells[e.cells[0]], far) <= 0:
+            return False
+    pts = tri.points
+    used = {i for c in tri.cells for i in c}
+    for q in range(len(pts)):
+        if q in used:
+            continue
+        cell = next(
+            (c for c in tri.cells if point_in_hull(convex_hull(pts[i] for i in c), pts[q])),
+            None,
+        )
+        if cell is None or _side(lifted, cell, q) < 0:
+            return False
+    return True
 
 
 def coherence_witness(tri: Triangulation) -> Optional[HeightedPolygon]:
@@ -543,9 +630,7 @@ def perturb_heights(poly: HeightedPolygon, seed: int) -> HeightedPolygon:
     n = len(poly.points)
     rng = random.Random(seed)
     ks = rng.sample(range(1, 16 * max(n, 2) ** 3), n)
-    lcm = 1
-    for h in poly.heights:
-        lcm = lcm * h.denominator // math.gcd(lcm, h.denominator)
+    lcm = _common_denominator(poly.heights)
     r = max(max(abs(p[0]), abs(p[1])) for p in poly.points) or 1
     maxk = max(ks)
     eps = Fraction(1, 2 * lcm * maxk * (2 + 16 * r * r) * (8 * r * r))

@@ -125,6 +125,32 @@ class TestRingMul:
         job.write_text(json.dumps({"polygon": FOUR_POINT, "x": []}))
         assert main(["ring-mul", "--in", str(job)]) == 2
 
+    @pytest.mark.parametrize(
+        "command, x, y",
+        [
+            ("ring-mul", [], []),
+            ("ring-mul", [{"n": [1, 0], "i": 0, "c": "1"}], [{"n": [0, 1], "i": 0, "c": "1"}]),
+            ("theta-mul", {"theta": True, "terms": []}, {"theta": True, "terms": []}),
+            (
+                "theta-mul",
+                {"theta": True, "terms": [{"n": [1, 0], "i": 0, "c": "1"}]},
+                {"theta": True, "terms": [{"n": [0, 1], "i": 0, "c": "1"}]},
+            ),
+        ],
+    )
+    def test_degenerate_polygon_exits_3_even_with_empty_factors(
+        self, tmp_path, capsys, command, x, y
+    ):
+        job = tmp_path / "job.json"
+        segment = {"points": [[0, 0], [1, 0]], "heights": ["0", "0"]}
+        job.write_text(json.dumps({"polygon": segment, "x": x, "y": y}))
+        assert main([command, "--in", str(job)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "DegeneratePolygon: convex hull of 2 points is not 2-dimensional\n"
+        )
+
 
 class TestVerifyMirror:
     def test_simplex_prints_failures_line(self, simplex_path, capsys):

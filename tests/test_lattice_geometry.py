@@ -1,13 +1,19 @@
 """Lower-hull triangulations, coherence, unimodularity.
 
 Frozen expected values were derived with an independent qhull-based 3d lower
-hull oracle (scripts/oracle_lower_hull.py); the library implementation is a
-separate exact-arithmetic facet enumeration, so agreement is a genuine
-dual-route check. Random cross-checks against qhull run here directly.
+hull oracle (scripts/oracle_lower_hull.py); the library implementation is
+exact gift wrapping over the lifted points, so agreement is a genuine
+dual-route check. Two oracles run here directly: qhull, and the exact
+brute-force triple scan below, which also fixes which face a
+NonTriangularCell names and its message to the byte.
 """
 
+import importlib.util
+import itertools
 import random
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -25,6 +31,7 @@ from conicmirror.lattice_geometry import (
     cell_doubled_area,
     coherence_witness,
     convex_hull,
+    cross,
     hull_doubled_area,
     is_adapted,
     is_unimodular,
@@ -32,7 +39,9 @@ from conicmirror.lattice_geometry import (
     perturb_heights,
     regular_triangulation,
     unimodular_triangulation,
+    vsub,
 )
+from conicmirror.tropical_curves import tropical_curve
 
 from conftest import FOUR_HEIGHTS, FOUR_POINTS, PARABOLOID_POINTS
 
@@ -300,3 +309,202 @@ def test_against_qhull_oracle_random_inputs():
             assert oracle_cells == ours
         checked += 1
     assert checked >= 60
+
+
+# ---------------------------------------------------------------------------
+# the brute-force triple scan, a second exact oracle
+
+
+def _affine_through(a, b, c, ha, hb, hc):
+    """(u1, u2, w) with u.x + w equal to ha, hb, hc at the non-collinear a, b, c."""
+    d = cross(vsub(b, a), vsub(c, a))
+    db, dc = hb - ha, hc - ha
+    ab, ac = vsub(b, a), vsub(c, a)
+    u1 = Fraction(db * ac[1] - dc * ab[1], d)
+    u2 = Fraction(ab[0] * dc - ac[0] * db, d)
+    return u1, u2, ha - (u1 * a[0] + u2 * a[1])
+
+
+def _triple_scan_cells(poly):
+    """Lower-hull cells by scanning every triple, O(|A|^4).
+
+    A triple spans a lower facet iff the affine function through its lifted
+    vertices lies weakly below all lifted points; the facet is every
+    on-plane point. A facet whose hull is not a triangle raises
+    NonTriangularCell at the first such triple in id order, with the
+    library's message; a triangular facet is emitted once, for the triple
+    of its hull vertices.
+    """
+    pts, hts = poly.points, poly.heights
+    cells = []
+    for i, j, k in itertools.combinations(range(len(pts)), 3):
+        a, b, c = pts[i], pts[j], pts[k]
+        if cross(vsub(b, a), vsub(c, a)) == 0:
+            continue
+        u1, u2, w = _affine_through(a, b, c, hts[i], hts[j], hts[k])
+        values = [h - (u1 * p[0] + u2 * p[1] + w) for p, h in zip(pts, hts)]
+        if min(values) < 0:
+            continue
+        face = [q for q, v in enumerate(values) if v == 0]
+        verts = convex_hull([pts[q] for q in face])
+        if len(verts) > 3:
+            raise NonTriangularCell(
+                f"lower-hull face through points {face} "
+                f"({[pts[q] for q in face]}) is not a triangle; "
+                "heights are non-generic (try perturb_heights)"
+            )
+        if {a, b, c} == set(verts):
+            cells.append((i, j, k))
+    return tuple(sorted(cells))
+
+
+def _outcome(triangulate, poly):
+    try:
+        return ("cells", triangulate(poly))
+    except NonTriangularCell as exc:
+        return ("NonTriangularCell", str(exc))
+
+
+def _retriangulated_is_adapted(poly, tri):
+    """is_adapted by definition: the heights induce exactly tri's cells."""
+    if tuple(tri.points) != tuple(poly.points):
+        return False
+    try:
+        return _triple_scan_cells(poly) == tuple(sorted(tri.cells))
+    except NonTriangularCell:
+        return False
+
+
+def _small_point_set(rng):
+    """3 to 9 distinct points: a box grid (collinear boundary points), a
+    subset of a dilated triangle, or scattered points."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        a, b = rng.randint(1, 3), rng.randint(1, 2)
+        pool = [(x, y) for x in range(a + 1) for y in range(b + 1)]
+    elif kind == 1:
+        d = rng.randint(2, 3)
+        pool = [(x, y) for x in range(d + 1) for y in range(d + 1 - x)]
+    else:
+        pool = [(x, y) for x in range(-3, 4) for y in range(-3, 4)]
+    return rng.sample(pool, rng.randint(3, min(9, len(pool))))
+
+
+def _small_heights(rng, pts):
+    """Generic and non-generic heights: flat, paraboloid, small integers,
+    or rationals with small denominators."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return [0] * len(pts)
+    if kind == 1:
+        return [x * x + y * y for x, y in pts]
+    if kind == 2:
+        return [rng.randint(-2, 2) for _ in pts]
+    return [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 7))) for _ in pts]
+
+
+def test_gift_wrapping_matches_triple_scan_on_random_small_sets():
+    rng = random.Random(20261018)
+    compared = non_triangular = 0
+    for _ in range(2500):
+        pts = _small_point_set(rng)
+        poly = HeightedPolygon.create(pts, _small_heights(rng, pts))
+        if not poly.is_full_dimensional:
+            continue
+        ours = _outcome(lambda p: regular_triangulation(p).cells, poly)
+        assert ours == _outcome(_triple_scan_cells, poly), (pts, poly.heights)
+        compared += 1
+        non_triangular += ours[0] == "NonTriangularCell"
+    assert compared >= 2000
+    assert 200 <= non_triangular <= compared - 1000
+
+
+def test_non_triangular_cell_names_face_of_smallest_triple():
+    # three square faces; the triple scan meets the one holding (0, 1, 3)
+    # first, while the gift wrap starts at (0, 0) in another
+    pts = [(2, 0), (3, 0), (0, 0), (2, 1), (3, 1), (0, 1), (1, 0), (1, 1)]
+    poly = HeightedPolygon.create(pts, [1, 3, 0, 1, 3, 0, 0, 0])
+    with pytest.raises(NonTriangularCell) as err:
+        regular_triangulation(poly)
+    assert ("NonTriangularCell", str(err.value)) == _outcome(_triple_scan_cells, poly)
+    assert "[0, 1, 3, 4]" in str(err.value)
+
+
+def test_local_is_adapted_matches_retriangulation_on_random_heights():
+    rng = random.Random(1018)
+    checked = adapted = 0
+    while checked < 600:
+        pts = _small_point_set(rng)
+        base = HeightedPolygon.create(pts, _small_heights(rng, pts))
+        if not base.is_full_dimensional:
+            continue
+        try:
+            tri = regular_triangulation(base)
+        except NonTriangularCell:
+            continue
+        for _ in range(3):
+            heights = [
+                h + Fraction(rng.randint(-1, 1), rng.choice((1, 2, 4)))
+                if rng.random() < 0.3 else h
+                for h in base.heights
+            ]
+            poly = HeightedPolygon.create(pts, heights)
+            expected = _retriangulated_is_adapted(poly, tri)
+            assert is_adapted(poly, tri) == expected, (pts, base.heights, heights)
+            checked += 1
+            adapted += expected
+    assert min(adapted, checked - adapted) >= 50
+
+
+_TRIANGLE_3 = [(0, 0), (3, 0), (0, 3), (1, 1)]
+_SQUARE_2 = [(0, 0), (2, 0), (0, 2), (2, 2), (1, 1)]
+
+
+@pytest.mark.parametrize(
+    "points, heights, cells, adapted",
+    [
+        # unused (1, 1) on the lifted plane x + y, inside the only cell
+        (_TRIANGLE_3, [0, 3, 3, 2], [(0, 1, 2)], True),
+        # unused (1, 1) on the lift of the interior edge (0,0)-(2,2)
+        (_SQUARE_2, [0, 1, 1, 0, 0], [(0, 1, 3), (0, 2, 3)], True),
+        # unused (1, 1) below the lifted plane
+        (_TRIANGLE_3, [0, 3, 3, Fraction(3, 2)], [(0, 1, 2)], False),
+        # two coplanar neighbouring cells: the lower face is the square
+        (_SQUARE_2[:4], [0, 0, 0, 0], [(0, 1, 3), (0, 2, 3)], False),
+        # the fold across (0,0)-(2,2) is concave: the other diagonal is adapted
+        (_SQUARE_2[:4], [0, 0, 0, 1], [(0, 1, 3), (0, 2, 3)], False),
+        (_SQUARE_2[:4], [0, 0, 0, 1], [(0, 1, 2), (1, 2, 3)], True),
+    ],
+)
+def test_local_is_adapted_cases(points, heights, cells, adapted):
+    poly = HeightedPolygon.create(points, heights)
+    tri = build_triangulation(points, cells)
+    assert is_adapted(poly, tri) is adapted
+    assert _retriangulated_is_adapted(poly, tri) is adapted
+
+
+def _load_qhull_oracle():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "oracle_lower_hull.py"
+    spec = importlib.util.spec_from_file_location("oracle_lower_hull", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_degree_ten_triangle_matches_qhull_within_budget():
+    # 66 points, where an O(|A|^4) scan takes seconds; at this seed every
+    # diagonal the perturbation picks is wide enough for qhull's precision
+    pts = [(x, y) for x in range(11) for y in range(11 - x)]
+    poly = perturb_heights(
+        HeightedPolygon.create(pts, [x * x + y * y for x, y in pts]), seed=1
+    )
+    start = time.perf_counter()
+    tri = regular_triangulation(poly)
+    curve = tropical_curve(poly, tri)
+    elapsed = time.perf_counter() - start
+    cells, bad_face = _load_qhull_oracle().lower_hull_cells(poly.points, poly.heights)
+    assert bad_face is None
+    assert list(tri.cells) == cells
+    assert len(tri.cells) == 100 and is_unimodular(tri)
+    assert len(curve.vertices) == 100
+    assert elapsed < 2.0, f"triangulation plus tropical curve took {elapsed:.2f} s"
