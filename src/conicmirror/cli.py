@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Sequence
@@ -148,14 +147,6 @@ def _parse_viewport(text: str) -> tuple[tuple[float, float], tuple[float, float]
     return ((x0, y0), (x1, y1))
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("CONIC_MIRROR_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _emit(spec: JobSpec, text: str) -> None:
     if spec.output_path:
         with open(spec.output_path, "w", encoding="utf-8") as f:
@@ -215,9 +206,7 @@ def _cmd_amoeba(spec: JobSpec) -> int:
     curve = None
     if viewport is None:
         curve = tropical_curve(poly, regular_triangulation(poly))
-    cloud = amoeba_sample(
-        poly, params, grid=grid, viewport=viewport, curve=curve, workers=_thread_cap()
-    )
+    cloud = amoeba_sample(poly, params, grid=grid, viewport=viewport, curve=curve)
     if spec.output_path and spec.output_path.endswith(".csv"):
         _emit(spec, cloud_to_csv(cloud))
         return 0
@@ -383,9 +372,7 @@ def _cmd_plot(spec: JobSpec) -> int:
             raise SchemaError("plot --overlay amoeba requires --t")
         params = _params_from(spec)
         grid = spec.options.get("grid") or (120, 32)
-        cloud = amoeba_sample(
-            poly, params, grid=grid, viewport=viewport, workers=_thread_cap()
-        )
+        cloud = amoeba_sample(poly, params, grid=grid, viewport=viewport)
     _emit(spec, plot_svg(curve, viewport, cloud=cloud))
     return 0
 

@@ -241,11 +241,15 @@ class RawCharacterSum(SparseExact):
 
 def check_regular(poly: HeightedPolygon, x: RawCharacterSum) -> None:
     """Raise NotRegular unless every character index lies in the cone C."""
+    support = _support_of(poly)
     for (m, k, _i) in x.terms:
-        if k < ell1(poly, (-m[0], -m[1])):
-            raise NotRegular(
-                f"character ({m}, {k}) is outside the cone: level below {ell1(poly, (-m[0], -m[1]))}"
-            )
+        level = support((-m[0], -m[1]))
+        if k < level:
+            raise _outside_cone(m, k, level)
+
+
+def _outside_cone(m: Covector, k: int, level: int) -> NotRegular:
+    return NotRegular(f"character ({m}, {k}) is outside the cone: level below {level}")
 
 
 def embed(poly: HeightedPolygon, x: MirrorElement) -> RawCharacterSum:
@@ -253,8 +257,9 @@ def embed(poly: HeightedPolygon, x: MirrorElement) -> RawCharacterSum:
 
     basis(n, i) = p^i chi_{-n, ell1(n)}.
     """
+    support = _support_of(poly)
     return RawCharacterSum._of(
-        {((-n[0], -n[1]), ell1(poly, n), i): c for (n, i), c in x.coefficients.items()}
+        {((-n[0], -n[1]), support(n), i): c for (n, i), c in x.coefficients.items()}
     )
 
 
@@ -284,11 +289,14 @@ def canonicalize(poly: HeightedPolygon, x: RawCharacterSum) -> MirrorElement:
     lands on basis indices (n, i+j) with n = -m. Raises NotRegular when the
     slack is negative (the character is not a regular function).
     """
-    check_regular(poly, x)
+    support = _support_of(poly)
     out: dict = {}
     for (m, k, i), c in x.terms.items():
         n = (-m[0], -m[1])
-        d = k - ell1(poly, n)
+        level = support(n)
+        if k < level:
+            raise _outside_cone(m, k, level)
+        d = k - level
         for j in range(d + 1):
             key = (n, i + j)
             out[key] = out.get(key, 0) + c * comb(d, j)

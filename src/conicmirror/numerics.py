@@ -13,13 +13,13 @@ eps log t; dividing everything by log t recovers the unscaled picture.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import RootFindingFailure, UndefinedAtOrigin
 from .lattice_geometry import HeightedPolygon, Point, _exgcd, primitivize, vsub
@@ -275,25 +275,57 @@ def default_viewport(curve: TropicalCurve, scale: float = 2.0, pad: float = 3.0)
     return ((cx - hx, cy - hy), (cx + hx, cy + hy))
 
 
+def _cmul(ar, ai, br, bi):
+    """Complex product on real parts, rounded as a scalar product is: numpy's
+    vectorized complex multiply fuses the terms and rounds differently."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _block_roots(series: np.ndarray) -> list[Optional[np.ndarray]]:
+    """numpy roots of every row of a block of lines, None where it fails.
+
+    Rows whose companion matrix numpy roots builds at full size (degree at
+    least 1, nonzero leading and trailing coefficient, finite coefficients)
+    are stacked and solved by one eigvals call. The other rows, and all rows
+    of a block the stacked call rejects, go through numpy roots one by one.
+    """
+    deg = series.shape[1] - 1
+    stack = (deg > 0) & (series[:, 0] != 0) & (series[:, -1] != 0)
+    stack &= np.isfinite(series).all(axis=1)
+    roots: list[Optional[np.ndarray]] = [None] * len(series)
+    if stack.any():
+        comp = np.zeros((int(stack.sum()), deg, deg), dtype=complex)
+        comp[:, 1:, :-1] = np.eye(deg - 1)
+        with np.errstate(over="ignore", invalid="ignore"):  # eigvals rejects inf, nan
+            comp[:, 0, :] = -series[stack, 1:] / series[stack, :1]
+        try:
+            for i, r in zip(np.flatnonzero(stack), np.linalg.eigvals(comp)):
+                roots[i] = r
+        except np.linalg.LinAlgError:
+            stack[:] = False
+    for i in np.flatnonzero(~stack):
+        with contextlib.suppress(np.linalg.LinAlgError):
+            roots[i] = np.roots(series[i])
+    return roots
+
+
 def amoeba_sample(
     poly: HeightedPolygon,
     params: PatchworkParams,
     grid: tuple[int, int] = (200, 64),
     viewport: Optional[Viewport] = None,
     curve: Optional[TropicalCurve] = None,
-    workers: int = 1,
 ) -> AmoebaCloud:
     """Sample the amoeba of h_t by slicing along w_2.
 
     For each grid value (r_2, theta), set w_2 = t^{r_2} e^{i theta}, clear
-    denominators by w_1^k, and find the w_1 roots by companion-matrix
-    eigenvalues (numpy roots, which balances internally). Roots failing the
-    residual check |h_t| <= 1e-8 * (sum of term magnitudes) are discarded;
-    grid lines where the eigensolver fails are reported, not fatal. Points
-    are emitted as (log_t|w_1|, r_2).
-
-    Grid lines are independent pure tasks; workers > 1 evaluates them in a
-    thread pool, and the results are merged in grid order either way.
+    denominators by w_1^k, and find the w_1 roots as companion-matrix
+    eigenvalues, with the matrix numpy roots builds. The n_phase lines of
+    one r_2 value form a block: one eigvals call solves their stacked
+    matrices, and the residual check |h_t| <= 1e-8 * (sum of term
+    magnitudes) runs on all roots of the block at once; roots failing it are
+    discarded. Grid lines where the eigensolver fails are reported, not
+    fatal. Points are emitted as (log_t|w_1|, r_2), in grid order.
     """
     if viewport is None:
         if curve is None:
@@ -306,58 +338,42 @@ def amoeba_sample(
     lt = params.log_t
     k = max(0, -min(p[0] for p in poly.points))
     max_pow = max(p[0] for p in poly.points) + k
-    scales = {
-        alpha: params.coefficient(alpha) * math.exp(-float(poly.height(alpha)) * lt)
+    scales = [
+        (alpha, params.coefficient(alpha) * math.exp(-float(poly.height(alpha)) * lt))
         for alpha in poly.points
-    }
-    r2_values = np.linspace(ylo, yhi, n_r2)
-
-    def run_line(line: int) -> tuple[list[RealPoint], bool]:
-        i_r2, i_ph = divmod(line, n_phase)
-        r2 = float(r2_values[i_r2])
-        theta = 2.0 * math.pi * i_ph / n_phase
-        w2 = math.exp(lt * r2) * cmath.exp(1j * theta)
-        coeffs = np.zeros(max_pow + 1, dtype=complex)
-        for alpha, c in scales.items():
-            coeffs[alpha[0] + k] += c * w2 ** alpha[1]
-        # numpy wants highest power first
-        series = coeffs[::-1]
-        if not np.any(series != 0):
-            return [], False
-        try:
-            roots = np.roots(series)
-        except np.linalg.LinAlgError:
-            return [], True
-        found: list[RealPoint] = []
-        for w1 in roots:
-            if abs(w1) == 0.0:
-                continue
-            # residual filter against the sum of term magnitudes
-            parts = [
-                scales[alpha] * w1 ** alpha[0] * w2 ** alpha[1]
-                for alpha in poly.points
-            ]
-            mag_sum = sum(abs(p) for p in parts)
-            if mag_sum == 0.0 or abs(sum(parts)) > 1e-8 * mag_sum:
-                continue
-            found.append((math.log(abs(w1)) / lt, r2))
-        return found, False
-
-    total = n_r2 * n_phase
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_line, range(total)))
-    else:
-        results = [run_line(line) for line in range(total)]
-
+    ]
     points: list[RealPoint] = []
     failed: list[int] = []
-    for line, (found, fail) in enumerate(results):
-        points.extend(found)
-        if fail:
-            failed.append(line)
+    for i_r2, r2 in enumerate(np.linspace(ylo, yhi, n_r2).tolist()):
+        # w_2^alpha_2 per line and term, as Python complex powers: numpy's
+        # power rounds negative exponents differently
+        w2_pows = []
+        for i_ph in range(n_phase):
+            w2 = math.exp(lt * r2) * cmath.exp(1j * (2.0 * math.pi * i_ph / n_phase))
+            w2_pows.append([w2 ** alpha[1] for alpha, _ in scales])
+        series = np.zeros((n_phase, max_pow + 1), dtype=complex)  # highest power first
+        for j, (alpha, c) in enumerate(scales):
+            series[:, max_pow - k - alpha[0]] += [c * pw[j] for pw in w2_pows]
+        roots = _block_roots(series)
+        failed.extend(i_r2 * n_phase + i for i, r in enumerate(roots) if r is None)
+
+        found = [np.empty(0) if r is None else r for r in roots]
+        line = np.repeat(np.arange(n_phase), [len(r) for r in found])
+        w1 = np.concatenate(found).astype(complex)
+        line, w1 = line[w1 != 0], w1[w1 != 0]
+        # residual filter against the sum of term magnitudes, summed in the
+        # order of poly.points; a NaN comparison keeps the root
+        w2_pows = np.array(w2_pows, dtype=complex)
+        sum_re = sum_im = mag = 0.0
+        for j, (alpha, c) in enumerate(scales):
+            p = np.power(w1, alpha[0])
+            re, im = _cmul(c.real, c.imag, p.real, p.imag)
+            q = w2_pows[line, j]
+            re, im = _cmul(re, im, q.real, q.imag)
+            sum_re, sum_im, mag = sum_re + re, sum_im + im, mag + np.hypot(re, im)
+        kept = w1[~((mag == 0.0) | (np.hypot(sum_re, sum_im) > 1e-8 * mag))]
+        # np.hypot rounds as abs() of one complex does; np.abs does not
+        points.extend((math.log(m) / lt, r2) for m in np.hypot(kept.real, kept.imag).tolist())
     return AmoebaCloud(points=tuple(points), failed_lines=tuple(failed), viewport=viewport)
 
 
@@ -426,6 +442,8 @@ def hausdorff_to_tropical(
     cloud. Units are the base-t log coordinates shared by both sides.
     Returns +inf when either side is empty in the viewport.
     """
+    from scipy.spatial import cKDTree  # imported here: scipy.spatial is slow to load
+
     vp = clip if clip is not None else cloud.viewport
     (xlo, ylo), (xhi, yhi) = vp
     pts = np.array(

@@ -28,7 +28,6 @@ from .lattice_geometry import (
     cross,
     gcd2,
     is_adapted,
-    orient,
     pairing,
     perp,
     primitivize,
@@ -163,22 +162,6 @@ def _oriented_dual_edge(p: Point, q: Point) -> tuple[Point, Point]:
     return (p, q) if p < q else (q, p)
 
 
-def _is_edge_tie(argmax: Sequence[Point], alpha: Point, beta: Point) -> bool:
-    """The tie holds both ends of the edge [alpha, beta] and nothing off it.
-
-    Points of A inside the edge that the triangulation leaves unused lie on
-    the same lifted segment, so they tie with alpha and beta along the leg.
-    """
-    return (
-        alpha in argmax
-        and beta in argmax
-        and all(
-            orient(alpha, beta, q) == 0 and min(alpha, beta) <= q <= max(alpha, beta)
-            for q in argmax
-        )
-    )
-
-
 def tropical_curve(poly: HeightedPolygon, tri: Triangulation) -> TropicalCurve:
     """The curve dual to the triangulation induced by the heights.
 
@@ -204,18 +187,11 @@ def tropical_curve(poly: HeightedPolygon, tri: Triangulation) -> TropicalCurve:
         d = vsub(alpha, beta)
         dp = perp(d)
         prim = primitivize(dp)
-        sign = None
-        for s in (1, -1):
-            cand = (s * prim[0], s * prim[1])
-            probe = (base[0] + cand[0], base[1] + cand[1])
-            if _is_edge_tie(eval_tropical(L, probe)[1], alpha, beta):
-                sign = s
-                direction = cand
-                break
-        if sign is None:
-            raise InconsistentInput(
-                f"no leg direction works for boundary edge {alpha},{beta}"
-            )
+        # along the leg alpha and beta stay tied and the third vertex gamma of
+        # the cell loses: <direction, gamma - alpha> < 0
+        (gamma,) = set(tri.cells[cell_id]) - set(e.v)
+        sign = -1 if pairing(prim, vsub(poly.points[gamma], alpha)) > 0 else 1
+        direction = (sign * prim[0], sign * prim[1])
         dd = pairing(d, d)
         legs.append(
             Leg(

@@ -275,27 +275,6 @@ class TestAmoeba:
         assert len(text.splitlines()) > 100
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_thread_cap_does_not_change_output(
-        self, simplex_path, tmp_path, monkeypatch
-    ):
-        out1 = tmp_path / "a.csv"
-        out2 = tmp_path / "b.csv"
-        args = [
-            "amoeba",
-            "--in",
-            simplex_path,
-            "--t",
-            "7.389",
-            "--grid",
-            "30x12",
-            "--out",
-        ]
-        monkeypatch.setenv("CONIC_MIRROR_THREADS", "1")
-        assert main(args + [str(out1)]) == 0
-        monkeypatch.setenv("CONIC_MIRROR_THREADS", "4")
-        assert main(args + [str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
-
     @pytest.mark.parametrize("t", ["inf", "nan"])
     def test_non_finite_t_exits_2(self, simplex_path, capsys, t):
         assert main(["amoeba", "--in", simplex_path, "--t", t]) == 2

@@ -5,10 +5,11 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conicmirror.errors import UndefinedAtOrigin
-from conicmirror.lattice_geometry import HeightedPolygon, regular_triangulation
+from conicmirror.lattice_geometry import HeightedPolygon, perturb_heights, regular_triangulation
 from conicmirror.numerics import (
     AmoebaCloud,
     MomentParams,
@@ -30,6 +31,8 @@ from conicmirror.numerics import (
     stratum_of,
 )
 from conicmirror.tropical_curves import tropical_curve
+
+from conftest import FOUR_HEIGHTS, FOUR_POINTS, PARABOLOID_POINTS
 
 
 @pytest.fixture(scope="module")
@@ -215,7 +218,117 @@ class TestStrata:
         assert any(len(tau) == 3 for tau in seen)
 
 
+def _reference_amoeba(poly, params, grid, viewport):
+    """The per-line sampler: numpy roots on each grid line, then a scalar
+    residual check |h_t| <= 1e-8 * (sum of term magnitudes) per root."""
+    (_, ylo), (_, yhi) = viewport
+    lt = params.log_t
+    k = max(0, -min(p[0] for p in poly.points))
+    max_pow = max(p[0] for p in poly.points) + k
+    scales = {
+        alpha: params.coefficient(alpha) * math.exp(-float(poly.height(alpha)) * lt)
+        for alpha in poly.points
+    }
+    r2_values = np.linspace(ylo, yhi, grid[0])
+    points, failed = [], []
+    for line in range(grid[0] * grid[1]):
+        i_r2, i_ph = divmod(line, grid[1])
+        r2 = float(r2_values[i_r2])
+        w2 = math.exp(lt * r2) * cmath.exp(1j * (2.0 * math.pi * i_ph / grid[1]))
+        coeffs = np.zeros(max_pow + 1, dtype=complex)
+        for alpha, c in scales.items():
+            coeffs[alpha[0] + k] += c * w2 ** alpha[1]
+        series = coeffs[::-1]
+        if not np.any(series != 0):
+            continue
+        try:
+            roots = np.roots(series)
+        except np.linalg.LinAlgError:
+            failed.append(line)
+            continue
+        for w1 in roots:
+            if abs(w1) == 0.0:
+                continue
+            parts = [scales[a] * w1 ** a[0] * w2 ** a[1] for a in poly.points]
+            mag_sum = sum(abs(p) for p in parts)
+            if mag_sum == 0.0 or abs(sum(parts)) > 1e-8 * mag_sum:
+                continue
+            points.append((math.log(abs(w1)) / lt, r2))
+    return AmoebaCloud(points=tuple(points), failed_lines=tuple(failed), viewport=viewport)
+
+
+def _curve_case(points, heights, log_t):
+    poly = HeightedPolygon.create(points, heights)
+    viewport = default_viewport(tropical_curve(poly, regular_triangulation(poly)))
+    return poly, PatchworkParams(t=math.exp(log_t), epsilon_loc=0.05), (100, 32), viewport
+
+
+_SQUARE = ((0, 0), (1, 0), (0, 1), (1, 1))
+_PARABOLOID_HEIGHTS = [
+    x * x + y * y + (Fraction(1, 10) if (x, y) == (1, 1) else 0) for x, y in PARABOLOID_POINTS
+]
+_TRIANGLE_4 = [(x, y) for x in range(5) for y in range(5 - x)]
+
+
+def _amoeba_cases():
+    deg4 = perturb_heights(
+        HeightedPolygon.create(_TRIANGLE_4, [x * x + y * y for x, y in _TRIANGLE_4]), seed=1
+    )
+    square = HeightedPolygon.create(_SQUARE, 0)
+    return {
+        "four_point_e2": _curve_case(FOUR_POINTS, FOUR_HEIGHTS, 2),
+        "four_point_e8": _curve_case(FOUR_POINTS, FOUR_HEIGHTS, 8),
+        "paraboloid_e16": _curve_case(PARABOLOID_POINTS, _PARABOLOID_HEIGHTS, 16),
+        "triangle4_e12": _curve_case(deg4.points, deg4.heights, 12),
+        # the leading coefficient 1 - w_2 vanishes on the line w_2 = 1
+        "square_zero_leading": (
+            square,
+            PatchworkParams(t=math.e**2, epsilon_loc=0.05, coefficients={(1, 0): 1, (1, 1): -1}),
+            (3, 4),
+            ((-1.0, -1.0), (1.0, 1.0)),
+        ),
+        # coefficients overflow to inf: lines the eigensolver rejects
+        "square_overflow": (
+            square,
+            PatchworkParams(t=math.e**4, epsilon_loc=0.05, coefficients={(1, 1): 1e300}),
+            (20, 4),
+            ((-100.0, -100.0), (100.0, 100.0)),
+        ),
+        # w_1 does not occur: constant lines without roots
+        "vertical_segment": (
+            HeightedPolygon.create(((0, 0), (0, 1)), 0),
+            PatchworkParams(t=math.e**2, epsilon_loc=0.05),
+            (9, 5),
+            ((-2.0, -2.0), (2.0, 2.0)),
+        ),
+    }
+
+
 class TestAmoeba:
+    def test_residual_products_round_like_scalar_products(self):
+        # numpy's vectorized complex multiply fuses terms on some CPUs, so
+        # the residual filter multiplies on real and imaginary parts
+        from conicmirror.numerics import _cmul
+
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal(4000) + 1j * rng.standard_normal(4000)
+        b = rng.standard_normal(4000) + 1j * rng.standard_normal(4000)
+        re, im = _cmul(a.real, a.imag, b.real, b.imag)
+        scalar = [complex(x) * complex(y) for x, y in zip(a, b)]
+        assert re.tolist() == [z.real for z in scalar]
+        assert im.tolist() == [z.imag for z in scalar]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("name", list(_amoeba_cases()))
+    def test_batched_sampler_matches_per_line_reference(self, name):
+        poly, params, grid, viewport = _amoeba_cases()[name]
+        cloud = amoeba_sample(poly, params, grid=grid, viewport=viewport)
+        assert cloud == _reference_amoeba(poly, params, grid, viewport)
+        if name == "square_overflow":
+            assert len(cloud.failed_lines) == 27
+        if name == "vertical_segment":
+            assert cloud.points == () and cloud.failed_lines == ()
+
     def test_binomial_line_amoeba(self):
         line = HeightedPolygon.create(((0, 0), (1, 0)), (0, 0))
         params = PatchworkParams(t=math.e**2, epsilon_loc=0.1)

@@ -1,12 +1,13 @@
 """Tropical polynomial evaluation, curve duality, legs, chambers."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conicmirror.errors import InconsistentInput
+from conicmirror.errors import DegeneratePolygon, InconsistentInput, NonTriangularCell
 from conicmirror.lattice_geometry import (
     HeightedPolygon,
     perturb_heights,
@@ -72,22 +73,69 @@ def test_simplex_leg_constants(simplex_curve):
     assert leg.direction == (1, 1)
 
 
-def test_leg_ray_stays_in_two_term_locus(four_curve):
-    L = four_curve.polynomial
-    for leg in four_curve.legs:
+def _on_segment(q, alpha, beta) -> bool:
+    d, r = (beta[0] - alpha[0], beta[1] - alpha[1]), (q[0] - alpha[0], q[1] - alpha[1])
+    return d[0] * r[1] == d[1] * r[0] and 0 <= d[0] * r[0] + d[1] * r[1] <= d[0] ** 2 + d[1] ** 2
+
+
+def _random_curves(count: int):
+    """Tropical curves of seeded random polygons with generic and tied heights."""
+    rng = random.Random(20261018)
+    curves = []
+    while len(curves) < count:
+        kind = rng.randrange(3)
+        if kind == 0:
+            d = rng.randint(1, 4)
+            pts = [(x, y) for x in range(d + 1) for y in range(d + 1 - x)]
+        elif kind == 1:
+            a, b = rng.randint(1, 3), rng.randint(1, 3)
+            pts = [(x, y) for x in range(a + 1) for y in range(b + 1)]
+        else:
+            pts = sorted({(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(3, 10))})
+        heights = [
+            [0] * len(pts),
+            [x * x + y * y for x, y in pts],
+            [rng.randint(-2, 2) for _ in pts],
+            [Fraction(rng.randint(-30, 30), rng.choice((1, 2, 3, 7))) for _ in pts],
+        ][rng.randrange(4)]
+        poly = HeightedPolygon.create(pts, heights)
+        try:
+            curves.append(tropical_curve(poly, regular_triangulation(poly)))
+        except (DegeneratePolygon, NonTriangularCell):
+            continue
+    return curves
+
+
+def _assert_legs_stay_on_their_edges(curve):
+    L = curve.polynomial
+    for leg in curve.legs:
         alpha, beta = leg.dual_edge
+        # the terms tied along the leg: those of the edge [alpha, beta] that
+        # already tie at the base vertex
+        edge_ties = tuple(
+            q for q in eval_tropical(L, leg.base)[1] if _on_segment(q, alpha, beta)
+        )
+        assert alpha in edge_ties and beta in edge_ties
         for t in (Fraction(1, 3), 1, 7, 100):
             p = (leg.base[0] + t * leg.direction[0], leg.base[1] + t * leg.direction[1])
             value, argmax = eval_tropical(L, p)
-            assert argmax == tuple(sorted((alpha, beta)))
+            assert argmax == edge_ties
             # the tie equation r_{alpha-beta} = nu(alpha) - nu(beta)
             d = (alpha[0] - beta[0], alpha[1] - beta[1])
             lhs = p[0] * d[0] + p[1] * d[1]
-            assert lhs == four_curve.polygon.height(alpha) - four_curve.polygon.height(beta)
+            assert lhs == curve.polygon.height(alpha) - curve.polygon.height(beta)
             # the half-plane bound of the leg, with the direction-aligned perp
             dp = (-d[1], d[0])
             sign = 1 if (dp[0] * leg.direction[0] + dp[1] * leg.direction[1]) > 0 else -1
             assert sign * (p[0] * dp[0] + p[1] * dp[1]) >= leg.a_i
+
+
+def test_leg_ray_stays_in_two_term_locus(four_curve):
+    _assert_legs_stay_on_their_edges(four_curve)
+    curves = _random_curves(300)
+    for curve in curves:
+        _assert_legs_stay_on_their_edges(curve)
+    assert sum(len(c.legs) for c in curves) >= 1000
 
 
 def test_vertex_argmax_is_dual_cell(four_curve):
