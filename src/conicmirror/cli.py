@@ -9,6 +9,7 @@ The acceptance command runs the full criteria suite and exits 1 on failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -428,6 +429,7 @@ def run(spec: JobSpec) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser for every command and option of the CLI."""
     parser = argparse.ArgumentParser(
         prog="conic-mirror",
         description="Exact mirror-symmetry data of heighted lattice polygons.",
@@ -510,9 +512,15 @@ def spec_from_args(args: argparse.Namespace) -> JobSpec:
     )
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built once per process: parse_args keeps no
+    state in it between calls."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         spec = spec_from_args(args)
     except SchemaError as exc:

@@ -19,8 +19,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
-import numpy as np
-
 from .errors import RootFindingFailure, UndefinedAtOrigin
 from .lattice_geometry import HeightedPolygon, Point, _exgcd, primitivize, vsub
 from .tropical_curves import Leg, TropicalCurve
@@ -281,6 +279,18 @@ def _cmul(ar, ai, br, bi):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
+@contextlib.contextmanager
+def _in_float_range(t: float):
+    """Turn a float overflow, or a zero raised to a negative power after an
+    underflow, into RootFindingFailure naming t."""
+    try:
+        yield
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise RootFindingFailure(
+            f"line coefficients at t = {t!r} leave the float range ({exc})"
+        ) from exc
+
+
 def _block_roots(series: np.ndarray) -> list[Optional[np.ndarray]]:
     """numpy roots of every row of a block of lines, None where it fails.
 
@@ -289,6 +299,8 @@ def _block_roots(series: np.ndarray) -> list[Optional[np.ndarray]]:
     are stacked and solved by one eigvals call. The other rows, and all rows
     of a block the stacked call rejects, go through numpy roots one by one.
     """
+    import numpy as np
+
     deg = series.shape[1] - 1
     stack = (deg > 0) & (series[:, 0] != 0) & (series[:, -1] != 0)
     stack &= np.isfinite(series).all(axis=1)
@@ -325,8 +337,11 @@ def amoeba_sample(
     matrices, and the residual check |h_t| <= 1e-8 * (sum of term
     magnitudes) runs on all roots of the block at once; roots failing it are
     discarded. Grid lines where the eigensolver fails are reported, not
-    fatal. Points are emitted as (log_t|w_1|, r_2), in grid order.
+    fatal. Points are emitted as (log_t|w_1|, r_2), in grid order. A t whose
+    powers leave the float range raises RootFindingFailure.
     """
+    import numpy as np
+
     if viewport is None:
         if curve is None:
             raise ValueError("amoeba_sample needs a viewport or a tropical curve")
@@ -338,19 +353,21 @@ def amoeba_sample(
     lt = params.log_t
     k = max(0, -min(p[0] for p in poly.points))
     max_pow = max(p[0] for p in poly.points) + k
-    scales = [
-        (alpha, params.coefficient(alpha) * math.exp(-float(poly.height(alpha)) * lt))
-        for alpha in poly.points
-    ]
+    with _in_float_range(params.t):
+        scales = [
+            (alpha, params.coefficient(alpha) * math.exp(-float(poly.height(alpha)) * lt))
+            for alpha in poly.points
+        ]
     points: list[RealPoint] = []
     failed: list[int] = []
     for i_r2, r2 in enumerate(np.linspace(ylo, yhi, n_r2).tolist()):
         # w_2^alpha_2 per line and term, as Python complex powers: numpy's
         # power rounds negative exponents differently
         w2_pows = []
-        for i_ph in range(n_phase):
-            w2 = math.exp(lt * r2) * cmath.exp(1j * (2.0 * math.pi * i_ph / n_phase))
-            w2_pows.append([w2 ** alpha[1] for alpha, _ in scales])
+        with _in_float_range(params.t):
+            for i_ph in range(n_phase):
+                w2 = math.exp(lt * r2) * cmath.exp(1j * (2.0 * math.pi * i_ph / n_phase))
+                w2_pows.append([w2 ** alpha[1] for alpha, _ in scales])
         series = np.zeros((n_phase, max_pow + 1), dtype=complex)  # highest power first
         for j, (alpha, c) in enumerate(scales):
             series[:, max_pow - k - alpha[0]] += [c * pw[j] for pw in w2_pows]
@@ -442,6 +459,7 @@ def hausdorff_to_tropical(
     cloud. Units are the base-t log coordinates shared by both sides.
     Returns +inf when either side is empty in the viewport.
     """
+    import numpy as np
     from scipy.spatial import cKDTree  # imported here: scipy.spatial is slow to load
 
     vp = clip if clip is not None else cloud.viewport
@@ -577,23 +595,30 @@ def moment_map(
     chi = 0: pi |u|^2. chi = 1: pi |u|^2 + eps |u|^2 / (|h|^2 + |u|^2),
     undefined at |u| = |h| = 0, where the limit 0 along u = 0 is returned
     (or UndefinedAtOrigin raised when strict). Other chi values have no
-    closed form here and are rejected.
+    closed form here and are rejected, and so is a value that overflows.
     """
     u = float(abs_u)
     h = float(abs_h)
     if not (0.0 <= u < math.inf and 0.0 <= h < math.inf):
         raise ValueError("moduli must be finite and nonnegative")
     if params.chi == 0.0:
-        return math.pi * u * u
-    if params.chi == 1.0:
+        value = math.pi * u * u
+    elif params.chi == 1.0:
         if u == 0.0 and h == 0.0:
             if strict:
                 raise UndefinedAtOrigin("moment map is undefined at |u| = |h| = 0")
             return 0.0
         if u == 0.0:
             return 0.0
-        return math.pi * u * u + params.epsilon_blowup * u * u / (h * h + u * u)
-    raise ValueError("closed forms are available only for chi = 0 or chi = 1")
+        # the second term depends on u/h only: rescale when both squares underflow
+        m = max(u, h) if h * h + u * u == 0.0 else 1.0
+        su, sh = u / m, h / m
+        value = math.pi * u * u + params.epsilon_blowup * su * su / (sh * sh + su * su)
+    else:
+        raise ValueError("closed forms are available only for chi = 0 or chi = 1")
+    if not math.isfinite(value):
+        raise ValueError(f"moment map value {value} is not finite")
+    return value
 
 
 @dataclass(frozen=True)

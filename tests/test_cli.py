@@ -4,11 +4,15 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from conicmirror import cli
 from conicmirror.cli import JobSpec, main
 from conicmirror.errors import SchemaError
+
+SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
 
 SIMPLEX = {"points": [[0, 0], [1, 0], [0, 1]], "heights": ["0", "0", "0"]}
 FOUR_POINT = {
@@ -253,6 +257,21 @@ class TestMoment:
         out = capsys.readouterr()
         assert out.out == "" and "SchemaError" in out.err
 
+    def test_overflowing_value_exits_2(self, tmp_path, capsys):
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({"chi": 1, "abs_u": 1e308, "abs_h": 1e308}))
+        assert main(["moment", "--in", str(job), "--eps-blowup", "1e308"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "SchemaError: moment map value nan is not finite\n"
+
+    def test_underflowing_moduli_give_the_ratio_limit(self, tmp_path, capsys):
+        # |u|^2 and |h|^2 both underflow to 0; the ratio term is still eps/2
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({"chi": 1, "abs_u": 1e-200, "abs_h": 1e-200}))
+        assert main(["moment", "--in", str(job), "--eps-blowup", "0.3"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == 0.15
+
 
 class TestAmoeba:
     def test_csv_output_and_determinism(self, simplex_path, tmp_path):
@@ -286,6 +305,17 @@ class TestAmoeba:
             main(["amoeba", "--in", simplex_path, "--t", "7.389", "--grid", "axb"])
             == 2
         )
+
+    @pytest.mark.parametrize("sample", ["four_point.json", "simplex.json"])
+    @pytest.mark.parametrize("command", [["amoeba"], ["plot", "--overlay", "amoeba"]])
+    def test_t_past_float_range_exits_3(self, capsys, command, sample):
+        # t^{r_2} underflows to 0 (four-point) or overflows (simplex)
+        argv = command + ["--in", str(SAMPLES / sample), "--t", "1e300"]
+        assert main(argv) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("RootFindingFailure: line coefficients at t = 1e+300")
+        assert "Traceback" not in out.err
 
 
 class TestPlot:
@@ -341,3 +371,135 @@ class TestConsoleEntry:
         assert polygon_from_json(raw["polygon"]) == poly
         for name in ("x", "y", "z"):
             assert mirror_element_from_json(raw["generators"][name]) == gens[name]
+
+
+def _job_files(tmp_path) -> dict:
+    """ring-mul, theta-mul, mckay and moment jobs on the sample polygons."""
+    four = json.loads((SAMPLES / "four_point.json").read_text())
+    simplex = json.loads((SAMPLES / "simplex.json").read_text())
+    jobs = {
+        "ring": {
+            "polygon": four,
+            "x": [{"n": [1, 0], "i": 0, "c": "5/7"}],
+            "y": [{"n": [-1, -1], "i": 0, "c": "7/5"}],
+        },
+        "theta": {
+            "polygon": simplex,
+            "x": {"theta": True, "terms": [{"n": [1, 0], "i": 0, "c": "1"}]},
+            "y": {"theta": True, "terms": [{"n": [0, 1], "i": 1, "c": "2"}]},
+        },
+        "mckay": {"polygon": simplex, "sublattice": {"basis": [[1, 0], [1, 3]]}},
+        "moment": {"chi": 1, "abs_u": 0.5, "abs_h": 2.0},
+    }
+    paths = {}
+    for name, body in jobs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(body))
+        paths[name] = str(path)
+    return paths
+
+
+_IMPORT_PROBE = """
+import json, sys
+from conicmirror import cli
+exact, amoeba = json.loads(sys.argv[1])
+codes = [cli.main(argv) for argv in exact]
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy", "sympy"))
+codes.append(cli.main(amoeba))
+print(json.dumps({"codes": codes, "loaded": loaded, "amoeba_numpy": "numpy" in sys.modules}))
+"""
+
+
+class TestNumpyFree:
+    def test_exact_commands_do_not_load_numpy(self, tmp_path):
+        # a subprocess of its own: other tests load numpy into this one
+        four, simplex = str(SAMPLES / "four_point.json"), str(SAMPLES / "simplex.json")
+        jobs = _job_files(tmp_path)
+        out = str(tmp_path / "out")
+        exact = [
+            ["triangulate", "--in", four, "--out", out],
+            ["tropical", "--in", four, "--out", out],
+            ["sections", "--in", four, "--box", "1", "--out", out],
+            ["ring-mul", "--in", jobs["ring"], "--out", out],
+            ["theta-mul", "--in", jobs["theta"], "--out", out],
+            ["verify-mirror", "--in", simplex, "--bound-n", "1", "--bound-i", "0"],
+            ["mckay", "--in", jobs["mckay"], "--out", out],
+            ["moment", "--in", jobs["moment"], "--eps-blowup", "0.3", "--out", out],
+            ["plot", "--in", four, "--out", out],
+        ]
+        amoeba = ["amoeba", "--in", simplex, "--t", "7.389", "--grid", "8x4", "--out", out]
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE, json.dumps([exact, amoeba])],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["codes"] == [0] * (len(exact) + 1)
+        assert result["loaded"] == []
+        assert result["amoeba_numpy"] is True
+
+
+class TestParserReuse:
+    def _calls(self, tmp_path):
+        four, simplex = str(SAMPLES / "four_point.json"), str(SAMPLES / "simplex.json")
+        jobs = _job_files(tmp_path)
+        return [
+            # with an option, then the same command without it
+            ["triangulate", "--in", four, "--out", "tri.json"],
+            ["triangulate", "--in", four],
+            ["tropical", "--in", simplex],
+            ["amoeba", "--in", four, "--t", "54.598", "--grid", "12x4",
+             "--viewport", "-2,-2,2,2", "--eps-loc", "0.1", "--out", "cloud.csv"],
+            ["amoeba", "--in", four, "--t", "54.598", "--grid", "12x4"],
+            ["amoeba", "--in", simplex, "--t", "7.389"],
+            ["ring-mul", "--in", jobs["ring"], "--out", "product.json"],
+            ["theta-mul", "--in", jobs["theta"]],
+            ["verify-mirror", "--in", simplex, "--bound-n", "1", "--bound-i", "0",
+             "--out", "verify.json"],
+            ["verify-mirror", "--in", simplex, "--bound-n", "1", "--bound-i", "1"],
+            ["sections", "--in", four, "--box", "1"],
+            ["mckay", "--in", jobs["mckay"], "--sublattice", '{"basis": [[1, 0], [-1, 3]]}'],
+            ["mckay", "--in", jobs["mckay"]],
+            ["moment", "--in", jobs["moment"], "--eps-blowup", "0.3"],
+            ["plot", "--in", four, "--t", "54.598", "--overlay", "amoeba",
+             "--grid", "12x4", "--viewport", "-3,-3,3,3", "--out", "overlay.svg"],
+            ["plot", "--in", four, "--t", "54.598", "--out", "plain.svg"],
+            ["plot", "--in", simplex, "--t", "7.389", "--overlay", "amoeba"],
+            ["plot", "--in", simplex],
+            # failures inside and outside argparse
+            ["amoeba", "--in", simplex],
+            ["triangulate", "--in", four, "--no-such-flag"],
+            ["acceptance", "--seed", "x"],
+            ["--version"],
+        ]
+
+    def _run(self, calls, out_dir, monkeypatch, capsys):
+        # --out names are relative: each order writes into its own directory
+        out_dir.mkdir()
+        monkeypatch.chdir(out_dir)
+        results = {}
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("SystemExit", exc.code)
+            captured = capsys.readouterr()
+            files = {}
+            for p in out_dir.iterdir():
+                files[p.name] = p.read_bytes()
+                p.unlink()
+            results[tuple(argv)] = (code, captured.out, captured.err, files)
+        return results
+
+    def test_call_order_does_not_change_results(self, tmp_path, monkeypatch, capsys):
+        calls = self._calls(tmp_path)
+        forward = self._run(calls, tmp_path / "forward", monkeypatch, capsys)
+        backward = self._run(calls[::-1], tmp_path / "backward", monkeypatch, capsys)
+        assert cli._parser() is cli._parser()
+        assert len(forward) == len(calls)
+        assert forward == backward
+        assert forward[("--version",)][0] == ("SystemExit", 0)
+        bad_flag = ("triangulate", "--in", str(SAMPLES / "four_point.json"), "--no-such-flag")
+        assert forward[bad_flag][0] == ("SystemExit", 2)
+        assert forward[("acceptance", "--seed", "x")][0] == ("SystemExit", 2)
