@@ -136,6 +136,26 @@ def _parse_grid(text: str) -> tuple[int, int]:
     return grid
 
 
+# Largest amoeba work a grid may ask for, counted as grid lines times the
+# degree in w_1 of each line's polynomial (at least 1): the number of roots
+# sought, which bounds the points emitted. 200x64 is 38400 on the degree-3
+# triangle and 128000 on the degree-10 one; at the cap, `amoeba --out` on
+# four-point takes about 5 s and 290 MB on a 2-core x86-64 box.
+MAX_GRID_WORK = 500_000
+
+
+def _check_grid_work(poly, grid: tuple[int, int]) -> None:
+    xs = [p[0] for p in poly.points]
+    degree = max(1, max(xs) - min(min(xs), 0))
+    work = grid[0] * grid[1] * degree
+    if work > MAX_GRID_WORK:
+        raise SchemaError(
+            f"amoeba grid {grid[0]}x{grid[1]} asks for {work} roots "
+            f"({grid[0] * grid[1]} lines x degree {degree} in w_1), "
+            f"above the cap of {MAX_GRID_WORK}; pass a smaller --grid"
+        )
+
+
 def _parse_viewport(text: str) -> tuple[tuple[float, float], tuple[float, float]]:
     try:
         x0, y0, x1, y1 = (float(v) for v in text.split(","))
@@ -203,6 +223,7 @@ def _cmd_amoeba(spec: JobSpec) -> int:
     poly = _polygon_of(_load_json(spec.input_path), "input")
     params = _params_from(spec)
     grid = spec.options.get("grid") or (200, 64)
+    _check_grid_work(poly, grid)
     viewport = spec.options.get("viewport")
     curve = None
     if viewport is None:
@@ -373,6 +394,7 @@ def _cmd_plot(spec: JobSpec) -> int:
             raise SchemaError("plot --overlay amoeba requires --t")
         params = _params_from(spec)
         grid = spec.options.get("grid") or (120, 32)
+        _check_grid_work(poly, grid)
         cloud = amoeba_sample(poly, params, grid=grid, viewport=viewport)
     _emit(spec, plot_svg(curve, viewport, cloud=cloud))
     return 0

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import cmath
 import contextlib
+import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
@@ -129,6 +130,79 @@ def _point_segment_distance(n: RealPoint, p: RealPoint, q: RealPoint) -> float:
     return math.hypot(rx - s * dx, ry - s * dy)
 
 
+class _Chambers:
+    """Float data of the localization of one polygon at one t, built once per
+    public call: the heights nu(alpha) and the cutoff band (lo, hi)."""
+
+    def __init__(self, poly: HeightedPolygon, params: PatchworkParams):
+        self.points = poly.points
+        self.nu = {alpha: float(poly.height(alpha)) for alpha in poly.points}
+        self.log_t = lt = params.log_t
+        eps = params.epsilon_loc
+        self.lo = 0.5 * eps * lt
+        self.hi = eps * lt
+        # half-width of the clipped square around n, comfortably above hi
+        self.r = 8.0 * (1.0 + eps * lt)
+
+    def distance(self, alpha: Point, n: RealPoint, cutoff: float = math.inf) -> float:
+        """The distance from n to the chamber of alpha, by clipping. Returns
+        cutoff, without clipping, once the distance to one violated halfplane
+        (a lower bound) reaches it."""
+        lt, nu, nu_a = self.log_t, self.nu, self.nu[alpha]
+        halfplanes = []
+        inside = True
+        for beta in self.points:
+            if beta == alpha:
+                continue
+            a, b = float(alpha[0] - beta[0]), float(alpha[1] - beta[1])
+            c = lt * (nu_a - nu[beta])
+            halfplanes.append((a, b, c))
+            g = a * n[0] + b * n[1] - c
+            if g < 0.0:
+                inside = False
+                if -g >= cutoff * math.hypot(a, b):
+                    return cutoff
+        if inside:
+            return 0.0
+        r = self.r
+        pts: list[RealPoint] = [
+            (n[0] - r, n[1] - r),
+            (n[0] + r, n[1] - r),
+            (n[0] + r, n[1] + r),
+            (n[0] - r, n[1] + r),
+        ]
+        for a, b, c in halfplanes:
+            pts = _clip_halfplane(pts, a, b, c)
+            if not pts:
+                return math.inf
+        if len(pts) == 1:
+            return math.hypot(n[0] - pts[0][0], n[1] - pts[0][1])
+        return min(
+            _point_segment_distance(n, pts[i], pts[(i + 1) % len(pts)])
+            for i in range(len(pts))
+        )
+
+    def phi(self, alpha: Point, n: RealPoint) -> float:
+        # the cutoff's margin over hi exceeds the clip's rounding error, so
+        # the clip would also have given a distance >= hi, and phi = 1
+        d = self.distance(alpha, n, self.hi * (1.0 + 1e-9) + 1e-12 * (abs(n[0]) + abs(n[1])))
+        lo, hi = self.lo, self.hi
+        if d <= lo:
+            return 0.0
+        if d >= hi:
+            return 1.0
+        return smoothstep((d - lo) / (hi - lo))
+
+
+def _alpha_and_n(
+    poly: HeightedPolygon, alpha: Point, n: Sequence[float]
+) -> tuple[Point, RealPoint]:
+    alpha = (int(alpha[0]), int(alpha[1]))
+    if alpha not in poly.points:
+        raise ValueError(f"{alpha} is not a point of the polygon")
+    return alpha, (float(n[0]), float(n[1]))
+
+
 def chamber_distance(
     poly: HeightedPolygon, params: PatchworkParams, alpha: Point, n: Sequence[float]
 ) -> float:
@@ -141,41 +215,8 @@ def chamber_distance(
     eps log t is exact and larger values are only ever overestimated past
     the band where phi is already 1. Empty chambers give +inf.
     """
-    alpha = (int(alpha[0]), int(alpha[1]))
-    if alpha not in poly.points:
-        raise ValueError(f"{alpha} is not a point of the polygon")
-    n = (float(n[0]), float(n[1]))
-    lt = params.log_t
-    halfplanes = []
-    nu_a = float(poly.height(alpha))
-    inside = True
-    for beta in poly.points:
-        if beta == alpha:
-            continue
-        a, b = float(alpha[0] - beta[0]), float(alpha[1] - beta[1])
-        c = lt * (nu_a - float(poly.height(beta)))
-        halfplanes.append((a, b, c))
-        if a * n[0] + b * n[1] - c < 0.0:
-            inside = False
-    if inside:
-        return 0.0
-    r = 8.0 * (1.0 + params.epsilon_loc * lt)
-    pts: list[RealPoint] = [
-        (n[0] - r, n[1] - r),
-        (n[0] + r, n[1] - r),
-        (n[0] + r, n[1] + r),
-        (n[0] - r, n[1] + r),
-    ]
-    for a, b, c in halfplanes:
-        pts = _clip_halfplane(pts, a, b, c)
-        if not pts:
-            return math.inf
-    if len(pts) == 1:
-        return math.hypot(n[0] - pts[0][0], n[1] - pts[0][1])
-    return min(
-        _point_segment_distance(n, pts[i], pts[(i + 1) % len(pts)])
-        for i in range(len(pts))
-    )
+    alpha, n = _alpha_and_n(poly, alpha, n)
+    return _Chambers(poly, params).distance(alpha, n)
 
 
 def phi_alpha(
@@ -185,16 +226,12 @@ def phi_alpha(
 
     Exactly 0 up to distance (eps log t)/2, exactly 1 from eps log t on,
     and the smoothstep in between; the gradient is bounded by
-    3.75/(eps log t), within the required 4/(eps log t).
+    3.75/(eps log t), within the required 4/(eps log t). A point whose
+    distance to one of the chamber's halfplanes already reaches eps log t
+    gets 1 without clipping.
     """
-    d = chamber_distance(poly, params, alpha, n)
-    lo = 0.5 * params.epsilon_loc * params.log_t
-    hi = params.epsilon_loc * params.log_t
-    if d <= lo:
-        return 0.0
-    if d >= hi:
-        return 1.0
-    return smoothstep((d - lo) / (hi - lo))
+    alpha, n = _alpha_and_n(poly, alpha, n)
+    return _Chambers(poly, params).phi(alpha, n)
 
 
 def _require_nonzero(w: Sequence[complex]) -> tuple[complex, complex]:
@@ -202,6 +239,24 @@ def _require_nonzero(w: Sequence[complex]) -> tuple[complex, complex]:
     if w1 == 0 or w2 == 0:
         raise ValueError("w must be nonzero in both components")
     return w1, w2
+
+
+def _family(
+    chambers: _Chambers, coefficients: Mapping[Point, complex], s: float, w: Sequence[complex]
+) -> complex:
+    """h_ts on precomputed chambers; omitted coefficients are 1."""
+    w1, w2 = _require_nonzero(w)
+    n = (math.log(abs(w1)), math.log(abs(w2)))
+    lt = chambers.log_t
+    total = 0.0 + 0.0j
+    for alpha in chambers.points:
+        cut = 1.0 - s * chambers.phi(alpha, n) if s != 0.0 else 1.0
+        if cut == 0.0:
+            continue
+        scale = math.exp(-chambers.nu[alpha] * lt)
+        c = coefficients.get(alpha, 1.0 + 0.0j)
+        total += c * scale * cut * w1 ** alpha[0] * w2 ** alpha[1]
+    return total
 
 
 def h_ts(
@@ -212,17 +267,7 @@ def h_ts(
     At s = 0 this is the plain patchworking polynomial h_t; at s = 1 the
     tropical localization with the params coefficients.
     """
-    w1, w2 = _require_nonzero(w)
-    n = (math.log(abs(w1)), math.log(abs(w2)))
-    lt = params.log_t
-    total = 0.0 + 0.0j
-    for alpha in poly.points:
-        cut = 1.0 - s * phi_alpha(poly, params, alpha, n) if s != 0.0 else 1.0
-        if cut == 0.0:
-            continue
-        scale = math.exp(-float(poly.height(alpha)) * lt)
-        total += params.coefficient(alpha) * scale * cut * w1 ** alpha[0] * w2 ** alpha[1]
-    return total
+    return _family(_Chambers(poly, params), params.coefficients or {}, s, w)
 
 
 def h_t(poly: HeightedPolygon, params: PatchworkParams, w: Sequence[complex]) -> complex:
@@ -234,7 +279,7 @@ def h_localized(
     poly: HeightedPolygon, params: PatchworkParams, w: Sequence[complex]
 ) -> complex:
     """Tropical localization: the family at s = 1 with unit coefficients."""
-    return h_ts(poly, replace(params, coefficients=None), 1.0, w)
+    return _family(_Chambers(poly, params), {}, 1.0, w)
 
 
 def stratum_of(
@@ -246,13 +291,9 @@ def stratum_of(
     over a dense grid these realized sets are exactly the vertices, edges and
     cells of the adapted triangulation (the strata partition the plane).
     """
-    return tuple(
-        sorted(
-            alpha
-            for alpha in poly.points
-            if phi_alpha(poly, params, alpha, n) != 1.0
-        )
-    )
+    chambers = _Chambers(poly, params)
+    n = (float(n[0]), float(n[1]))
+    return tuple(sorted(alpha for alpha in poly.points if chambers.phi(alpha, n) != 1.0))
 
 
 @dataclass(frozen=True)
@@ -321,6 +362,12 @@ def _block_roots(series: np.ndarray) -> list[Optional[np.ndarray]]:
     return roots
 
 
+# Grid lines solved together: whole r_2 rows up to this many lines. A few
+# rows per block amortize the per-call numpy overhead; the whole grid at once
+# would only raise peak memory.
+_BLOCK_LINES = 512
+
+
 def amoeba_sample(
     poly: HeightedPolygon,
     params: PatchworkParams,
@@ -332,13 +379,14 @@ def amoeba_sample(
 
     For each grid value (r_2, theta), set w_2 = t^{r_2} e^{i theta}, clear
     denominators by w_1^k, and find the w_1 roots as companion-matrix
-    eigenvalues, with the matrix numpy roots builds. The n_phase lines of
-    one r_2 value form a block: one eigvals call solves their stacked
-    matrices, and the residual check |h_t| <= 1e-8 * (sum of term
-    magnitudes) runs on all roots of the block at once; roots failing it are
-    discarded. Grid lines where the eigensolver fails are reported, not
-    fatal. Points are emitted as (log_t|w_1|, r_2), in grid order. A t whose
-    powers leave the float range raises RootFindingFailure.
+    eigenvalues, with the matrix numpy roots builds. The lines of a few
+    consecutive r_2 values (about _BLOCK_LINES) form a block: one eigvals
+    call solves their stacked matrices, and the residual check
+    |h_t| <= 1e-8 * (sum of term magnitudes) runs on all roots of the block
+    at once; roots failing it are discarded. Grid lines where the
+    eigensolver fails are reported, not fatal. Points are emitted as
+    (log_t|w_1|, r_2), in grid order. A t whose powers leave the float range
+    raises RootFindingFailure.
     """
     import numpy as np
 
@@ -358,39 +406,66 @@ def amoeba_sample(
             (alpha, params.coefficient(alpha) * math.exp(-float(poly.height(alpha)) * lt))
             for alpha in poly.points
         ]
+    # each distinct alpha_2 gets one column of w_2 powers
+    w2_exps = list(dict.fromkeys(alpha[1] for alpha, _ in scales))
+    terms = [
+        (alpha, c, max_pow - k - alpha[0], w2_exps.index(alpha[1])) for alpha, c in scales
+    ]
+    phases = [cmath.exp(1j * (2.0 * math.pi * i_ph / n_phase)) for i_ph in range(n_phase)]
+    rows_per_block = max(1, _BLOCK_LINES // n_phase)
+    r2_grid = np.linspace(ylo, yhi, n_r2)
     points: list[RealPoint] = []
     failed: list[int] = []
-    for i_r2, r2 in enumerate(np.linspace(ylo, yhi, n_r2).tolist()):
-        # w_2^alpha_2 per line and term, as Python complex powers: numpy's
-        # power rounds negative exponents differently
-        w2_pows = []
-        with _in_float_range(params.t):
-            for i_ph in range(n_phase):
-                w2 = math.exp(lt * r2) * cmath.exp(1j * (2.0 * math.pi * i_ph / n_phase))
-                w2_pows.append([w2 ** alpha[1] for alpha, _ in scales])
-        series = np.zeros((n_phase, max_pow + 1), dtype=complex)  # highest power first
-        for j, (alpha, c) in enumerate(scales):
-            series[:, max_pow - k - alpha[0]] += [c * pw[j] for pw in w2_pows]
+    for first in range(0, n_r2, rows_per_block):
+        row_r2 = r2_grid[first:first + rows_per_block].tolist()
+        # w_2^alpha_2 per line, as Python complex powers: numpy's power
+        # rounds negative exponents differently
+        w2_pows, out_of_range = [], None
+        try:
+            with _in_float_range(params.t):
+                for r2 in row_r2:
+                    modulus = math.exp(lt * r2)
+                    w2_pows += [w2 ** e for w2 in [modulus * ph for ph in phases] for e in w2_exps]
+        except RootFindingFailure as exc:
+            if not w2_pows:
+                raise
+            # finish the rows before the failing one first, so numpy warns
+            # about them as a row-by-row sampler would
+            out_of_range = exc
+        w2_pows = np.array(w2_pows, dtype=complex).reshape(-1, len(w2_exps))
+        series = np.zeros((len(w2_pows), max_pow + 1), dtype=complex)  # highest power first
+        for _, c, col, j in terms:
+            re, im = _cmul(c.real, c.imag, w2_pows[:, j].real, w2_pows[:, j].imag)
+            series[:, col].real += re
+            series[:, col].imag += im
         roots = _block_roots(series)
-        failed.extend(i_r2 * n_phase + i for i, r in enumerate(roots) if r is None)
+        failed.extend(first * n_phase + i for i, r in enumerate(roots) if r is None)
 
         found = [np.empty(0) if r is None else r for r in roots]
-        line = np.repeat(np.arange(n_phase), [len(r) for r in found])
+        line = np.repeat(np.arange(len(roots)), [len(r) for r in found])
         w1 = np.concatenate(found).astype(complex)
         line, w1 = line[w1 != 0], w1[w1 != 0]
         # residual filter against the sum of term magnitudes, summed in the
         # order of poly.points; a NaN comparison keeps the root
-        w2_pows = np.array(w2_pows, dtype=complex)
+        w1_pows = {e: np.power(w1, e) for e in {alpha[0] for alpha, _ in scales}}
+        w2_line = w2_pows[line]
         sum_re = sum_im = mag = 0.0
-        for j, (alpha, c) in enumerate(scales):
-            p = np.power(w1, alpha[0])
+        for alpha, c, _, j in terms:
+            p = w1_pows[alpha[0]]
             re, im = _cmul(c.real, c.imag, p.real, p.imag)
-            q = w2_pows[line, j]
+            q = w2_line[:, j]
             re, im = _cmul(re, im, q.real, q.imag)
             sum_re, sum_im, mag = sum_re + re, sum_im + im, mag + np.hypot(re, im)
-        kept = w1[~((mag == 0.0) | (np.hypot(sum_re, sum_im) > 1e-8 * mag))]
-        # np.hypot rounds as abs() of one complex does; np.abs does not
-        points.extend((math.log(m) / lt, r2) for m in np.hypot(kept.real, kept.imag).tolist())
+        keep = ~((mag == 0.0) | (np.hypot(sum_re, sum_im) > 1e-8 * mag))
+        kept, kept_rows = w1[keep], (line[keep] // n_phase).tolist()
+        # np.hypot rounds as abs() of one complex does; np.abs does not;
+        # the points of a row share its r_2 float
+        points.extend(zip(
+            [math.log(m) / lt for m in np.hypot(kept.real, kept.imag).tolist()],
+            map(row_r2.__getitem__, kept_rows),
+        ))
+        if out_of_range is not None:
+            raise out_of_range
     return AmoebaCloud(points=tuple(points), failed_lines=tuple(failed), viewport=viewport)
 
 
@@ -464,34 +539,36 @@ def hausdorff_to_tropical(
 
     vp = clip if clip is not None else cloud.viewport
     (xlo, ylo), (xhi, yhi) = vp
-    pts = np.array(
-        [p for p in cloud.points if xlo <= p[0] <= xhi and ylo <= p[1] <= yhi],
-        dtype=float,
-    )
+    flat = itertools.chain.from_iterable(cloud.points)
+    xy = np.fromiter(flat, dtype=float, count=2 * len(cloud.points)).reshape(-1, 2)
+    x, y = xy[:, 0], xy[:, 1]
+    pts = xy[(xlo <= x) & (x <= xhi) & (ylo <= y) & (y <= yhi)]
     segments = _clipped_curve_segments(curve, vp)
     if len(pts) == 0 or not segments:
         return math.inf
+    x, y = pts[:, 0].copy(), pts[:, 1].copy()
 
     # cloud -> curve, exact per segment
     best = np.full(len(pts), math.inf)
-    for p, q in segments:
-        d = np.array([q[0] - p[0], q[1] - p[1]])
-        den = float(d @ d)
-        rel = pts - np.array(p)
-        s = np.clip((rel @ d) / den, 0.0, 1.0) if den > 0 else np.zeros(len(pts))
-        diff = rel - np.outer(s, d)
-        best = np.minimum(best, np.hypot(diff[:, 0], diff[:, 1]))
+    for (px, py), (qx, qy) in segments:
+        dx, dy = qx - px, qy - py
+        den = dx * dx + dy * dy
+        rx, ry = x - px, y - py
+        if den > 0:
+            s = np.clip((rx * dx + ry * dy) / den, 0.0, 1.0)
+            rx -= s * dx
+            ry -= s * dy
+        np.minimum(best, np.hypot(rx, ry), out=best)
     cloud_to_curve = float(best.max())
 
     # curve -> cloud, sampled
     samples = []
-    for p, q in segments:
-        length = math.hypot(q[0] - p[0], q[1] - p[1])
-        count = max(2, int(length / curve_step) + 1)
-        for s in np.linspace(0.0, 1.0, count):
-            samples.append((p[0] + s * (q[0] - p[0]), p[1] + s * (q[1] - p[1])))
-    tree = cKDTree(pts)
-    dists, _ = tree.query(np.array(samples))
+    for (px, py), (qx, qy) in segments:
+        count = max(2, int(math.hypot(qx - px, qy - py) / curve_step) + 1)
+        s = np.linspace(0.0, 1.0, count)
+        samples.append(np.column_stack((px + s * (qx - px), py + s * (qy - py))))
+    # an unbalanced tree builds faster and finds the same nearest distances
+    dists, _ = cKDTree(pts, balanced_tree=False).query(np.concatenate(samples))
     curve_to_cloud = float(np.max(dists))
 
     return max(cloud_to_curve, curve_to_cloud)
@@ -520,6 +597,7 @@ def leg_zero_samples(
     _, x, y = _exgcd(g[0], g[1])
     theta = (math.pi * x / lattice_len, math.pi * y / lattice_len)
     lt = params.log_t
+    exponents = [(a, -float(poly.height(a)) * lt) for a in poly.points]
 
     def full(w):
         return h_localized(poly, params, w)
@@ -530,10 +608,7 @@ def leg_zero_samples(
         n1 = lt * (float(leg.base[0]) + s * leg.direction[0])
         n2 = lt * (float(leg.base[1]) + s * leg.direction[1])
         w = (cmath.exp(complex(n1, theta[0])), cmath.exp(complex(n2, theta[1])))
-        scale = sum(
-            abs(math.exp(-float(poly.height(a)) * lt) * w[0] ** a[0] * w[1] ** a[1])
-            for a in poly.points
-        )
+        scale = sum(abs(math.exp(x) * w[0] ** a[0] * w[1] ** a[1]) for a, x in exponents)
         tol = 1e-13 * scale
         if abs(full(w)) <= tol:
             out.append(w)
@@ -614,6 +689,9 @@ def moment_map(
         m = max(u, h) if h * h + u * u == 0.0 else 1.0
         su, sh = u / m, h / m
         value = math.pi * u * u + params.epsilon_blowup * su * su / (sh * sh + su * su)
+        if not math.isfinite(value):
+            # eps * su * su can overflow before the division brings it back
+            value = math.pi * u * u + params.epsilon_blowup * (su * su / (sh * sh + su * su))
     else:
         raise ValueError("closed forms are available only for chi = 0 or chi = 1")
     if not math.isfinite(value):

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -265,6 +266,14 @@ class TestMoment:
         assert out.out == ""
         assert out.err == "SchemaError: moment map value nan is not finite\n"
 
+    def test_huge_blowup_size_does_not_overflow_early(self, tmp_path, capsys):
+        # eps * |u|^2 = 1e309 overflows, eps * (|u|^2 / (|h|^2 + |u|^2)) = 1e307 does not
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({"chi": 1, "abs_u": 10, "abs_h": 0}))
+        assert main(["moment", "--in", str(job), "--eps-blowup", "1e307"]) == 0
+        value = json.loads(capsys.readouterr().out)["value"]
+        assert math.isfinite(value) and value == pytest.approx(1e307, rel=1e-12)
+
     def test_underflowing_moduli_give_the_ratio_limit(self, tmp_path, capsys):
         # |u|^2 and |h|^2 both underflow to 0; the ratio term is still eps/2
         job = tmp_path / "job.json"
@@ -305,6 +314,33 @@ class TestAmoeba:
             main(["amoeba", "--in", simplex_path, "--t", "7.389", "--grid", "axb"])
             == 2
         )
+
+    @pytest.mark.parametrize("command", [["amoeba"], ["plot", "--overlay", "amoeba"]])
+    def test_grid_past_work_cap_exits_2_at_once(self, four_point_path, capsys, command):
+        argv = command + ["--in", four_point_path, "--t", "7.389", "--grid", "1000000x1000000"]
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (
+            "SchemaError: amoeba grid 1000000x1000000 asks for 2000000000000 roots "
+            "(1000000000000 lines x degree 2 in w_1), above the cap of 500000; "
+            "pass a smaller --grid\n"
+        )
+
+    def test_work_cap_admits_wide_margins(self):
+        def triangle(d):
+            points = [[x, y] for x in range(d + 1) for y in range(d + 1 - x)]
+            return {"points": points, "heights": [0] * len(points)}
+
+        cases = [
+            (json.loads((SAMPLES / name).read_text()), (1000, 64))
+            for name in ("simplex.json", "four_point.json")
+        ]
+        cases += [(triangle(6), (1000, 64)), (triangle(10), (200, 64))]
+        for data, grid in cases:
+            cli._check_grid_work(cli._polygon_of(data, "input"), grid)
 
     @pytest.mark.parametrize("sample", ["four_point.json", "simplex.json"])
     @pytest.mark.parametrize("command", [["amoeba"], ["plot", "--overlay", "amoeba"]])

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conicmirror.errors import UndefinedAtOrigin
+from conicmirror.errors import RootFindingFailure, UndefinedAtOrigin
 from conicmirror.lattice_geometry import HeightedPolygon, perturb_heights, regular_triangulation
 from conicmirror.numerics import (
     AmoebaCloud,
@@ -80,7 +80,138 @@ class TestParams:
         assert small.ok
 
 
+def _reference_chamber_distance(poly, params, alpha, n):
+    """The clip-only chamber distance: clip a square around n by every
+    halfplane of the chamber, then measure to the clipped polygon."""
+    from conicmirror.numerics import _clip_halfplane, _point_segment_distance
+
+    lt = params.log_t
+    halfplanes = []
+    nu_a = float(poly.height(alpha))
+    inside = True
+    for beta in poly.points:
+        if beta == alpha:
+            continue
+        a, b = float(alpha[0] - beta[0]), float(alpha[1] - beta[1])
+        c = lt * (nu_a - float(poly.height(beta)))
+        halfplanes.append((a, b, c))
+        if a * n[0] + b * n[1] - c < 0.0:
+            inside = False
+    if inside:
+        return 0.0
+    r = 8.0 * (1.0 + params.epsilon_loc * lt)
+    pts = [(n[0] - r, n[1] - r), (n[0] + r, n[1] - r), (n[0] + r, n[1] + r), (n[0] - r, n[1] + r)]
+    for a, b, c in halfplanes:
+        pts = _clip_halfplane(pts, a, b, c)
+        if not pts:
+            return math.inf
+    if len(pts) == 1:
+        return math.hypot(n[0] - pts[0][0], n[1] - pts[0][1])
+    return min(
+        _point_segment_distance(n, pts[i], pts[(i + 1) % len(pts)]) for i in range(len(pts))
+    )
+
+
+def _reference_phi(poly, params, alpha, n):
+    """phi_alpha from the clip-only distance, without the halfplane cutoff."""
+    d = _reference_chamber_distance(poly, params, alpha, n)
+    lo = 0.5 * params.epsilon_loc * params.log_t
+    hi = params.epsilon_loc * params.log_t
+    if d <= lo:
+        return 0.0
+    if d >= hi:
+        return 1.0
+    return smoothstep((d - lo) / (hi - lo))
+
+
+def _reference_h_localized(poly, params, w):
+    """The localized family term by term, with _reference_phi."""
+    n = (math.log(abs(w[0])), math.log(abs(w[1])))
+    total = 0.0 + 0.0j
+    for alpha in poly.points:
+        cut = 1.0 - 1.0 * _reference_phi(poly, params, alpha, n)
+        if cut == 0.0:
+            continue
+        scale = math.exp(-float(poly.height(alpha)) * params.log_t)
+        total += (1.0 + 0.0j) * scale * cut * w[0] ** alpha[0] * w[1] ** alpha[1]
+    return total
+
+
+def _outcome(f, *args):
+    """repr of the value, or the exception's type and text."""
+    try:
+        return repr(f(*args))
+    except (ArithmeticError, ValueError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _random_polygon(rng):
+    points = sorted({(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(rng.randint(3, 7))})
+    heights = [Fraction(rng.randint(-30, 30), rng.randint(1, 9)) for _ in points]
+    return HeightedPolygon.create(points, heights)
+
+
+def _near_band_edge(rng, poly, params, alpha):
+    """A point whose chamber distance is within 1e-12 of eps log t, found by
+    bisection along a ray leaving the chamber; None if the chamber is empty."""
+    lt, hi = params.log_t, params.epsilon_loc * params.log_t
+    for _ in range(50):
+        inner = (rng.uniform(-3.0, 3.0) * lt, rng.uniform(-3.0, 3.0) * lt)
+        if _reference_chamber_distance(poly, params, alpha, inner) == 0.0:
+            break
+    else:
+        return None
+    angle = rng.uniform(0.0, 2.0 * math.pi)
+    step = (math.cos(angle), math.sin(angle))
+
+    def dist(s):
+        return _reference_chamber_distance(
+            poly, params, alpha, (inner[0] + s * step[0], inner[1] + s * step[1])
+        )
+
+    lo_s, hi_s = 0.0, 1.0
+    while dist(hi_s) < hi:
+        if hi_s > 1e6:  # the ray runs along the chamber
+            return None
+        lo_s, hi_s = hi_s, 2.0 * hi_s
+    for _ in range(60):
+        mid = 0.5 * (lo_s + hi_s)
+        lo_s, hi_s = (mid, hi_s) if dist(mid) < hi else (lo_s, mid)
+    s = rng.choice((lo_s, hi_s))
+    return (inner[0] + s * step[0], inner[1] + s * step[1])
+
+
 class TestPhiAlpha:
+    def test_halfplane_cutoff_is_bit_equal_to_the_clip(self):
+        rng = random.Random(2024)
+        near = 0
+        for case in range(2000):
+            poly = _random_polygon(rng)
+            params = PatchworkParams(
+                t=math.exp(rng.uniform(0.5, 30.0)), epsilon_loc=rng.choice((0.05, 0.1, 0.5))
+            )
+            alpha = rng.choice(poly.points)
+            n = None
+            if case % 2 == 0:
+                n = _near_band_edge(rng, poly, params, alpha)
+            if n is None:
+                lt = params.log_t
+                n = (rng.uniform(-3.0, 3.0) * lt, rng.uniform(-3.0, 3.0) * lt)
+            else:
+                d = _reference_chamber_distance(poly, params, alpha, n)
+                near += abs(d - params.epsilon_loc * params.log_t) <= 1e-12
+            expected = _reference_phi(poly, params, alpha, n)
+            assert repr(phi_alpha(poly, params, alpha, n)) == repr(expected), (case, n)
+            assert chamber_distance(poly, params, alpha, n) == _reference_chamber_distance(
+                poly, params, alpha, n
+            )
+            if case % 10 == 0 and max(abs(n[0]), abs(n[1])) < 700.0:
+                w = (cmath.exp(complex(n[0], 0.3)), cmath.exp(complex(n[1], -1.1)))
+                assert _outcome(h_localized, poly, params, w) == _outcome(
+                    _reference_h_localized, poly, params, w
+                )
+        assert near >= 300, near
+
     def test_smoothstep_shape(self):
         assert smoothstep(0.0) == 0.0
         assert smoothstep(1.0) == 1.0
@@ -257,6 +388,87 @@ def _reference_amoeba(poly, params, grid, viewport):
     return AmoebaCloud(points=tuple(points), failed_lines=tuple(failed), viewport=viewport)
 
 
+def _reference_hausdorff(cloud, curve, clip=None, curve_step=0.02):
+    """Hausdorff distance with the clipped cloud built as a list of tuples,
+    the cloud -> curve distances on (N, 2) arrays and scalar curve samples."""
+    from scipy.spatial import cKDTree
+
+    from conicmirror.numerics import _clipped_curve_segments
+
+    vp = clip if clip is not None else cloud.viewport
+    (xlo, ylo), (xhi, yhi) = vp
+    pts = np.array(
+        [p for p in cloud.points if xlo <= p[0] <= xhi and ylo <= p[1] <= yhi], dtype=float
+    )
+    segments = _clipped_curve_segments(curve, vp)
+    if len(pts) == 0 or not segments:
+        return math.inf
+    best = np.full(len(pts), math.inf)
+    for p, q in segments:
+        d = np.array([q[0] - p[0], q[1] - p[1]])
+        den = float(d @ d)
+        rel = pts - np.array(p)
+        s = np.clip((rel @ d) / den, 0.0, 1.0) if den > 0 else np.zeros(len(pts))
+        diff = rel - np.outer(s, d)
+        best = np.minimum(best, np.hypot(diff[:, 0], diff[:, 1]))
+    samples = []
+    for p, q in segments:
+        count = max(2, int(math.hypot(q[0] - p[0], q[1] - p[1]) / curve_step) + 1)
+        for s in np.linspace(0.0, 1.0, count):
+            samples.append((p[0] + s * (q[0] - p[0]), p[1] + s * (q[1] - p[1])))
+    dists, _ = cKDTree(pts).query(np.array(samples))
+    return max(float(best.max()), float(np.max(dists)))
+
+
+def _reference_leg_zeros(poly, params, leg, count):
+    """The leg-zero loop term by term, on _reference_h_localized."""
+    from conicmirror.lattice_geometry import _exgcd, primitivize, vsub
+
+    alpha, beta = leg.dual_edge
+    diff = vsub(alpha, beta)
+    g = primitivize(diff)
+    lattice_len = diff[0] // g[0] if g[0] != 0 else diff[1] // g[1]
+    _, x, y = _exgcd(g[0], g[1])
+    theta = (math.pi * x / lattice_len, math.pi * y / lattice_len)
+    lt = params.log_t
+    out = []
+    for idx in range(count):
+        s = 0.5 + (2.5 - 0.5) * idx / max(1, count - 1)
+        n1 = lt * (float(leg.base[0]) + s * leg.direction[0])
+        n2 = lt * (float(leg.base[1]) + s * leg.direction[1])
+        w = (cmath.exp(complex(n1, theta[0])), cmath.exp(complex(n2, theta[1])))
+        scale = sum(
+            abs(math.exp(-float(poly.height(a)) * lt) * w[0] ** a[0] * w[1] ** a[1])
+            for a in poly.points
+        )
+        tol = 1e-13 * scale
+        if abs(_reference_h_localized(poly, params, w)) <= tol:
+            out.append(w)
+            continue
+        var = 0 if diff[0] != 0 else 1
+
+        def eval_at(z):
+            return _reference_h_localized(poly, params, (z, w[1]) if var == 0 else (w[0], z))
+
+        x0 = w[var]
+        x1 = x0 * (1.0 + 1e-8)
+        f0, f1 = eval_at(x0), eval_at(x1)
+        converged = False
+        for _ in range(60):
+            if f1 == f0:
+                break
+            x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
+            x0, f0 = x1, f1
+            x1, f1 = x2, eval_at(x2)
+            if abs(f1) <= tol:
+                converged = True
+                break
+        if not converged:
+            raise RootFindingFailure(f"secant polish failed on leg sample {idx}")
+        out.append((x1, w[1]) if var == 0 else (w[0], x1))
+    return out
+
+
 def _curve_case(points, heights, log_t):
     poly = HeightedPolygon.create(points, heights)
     viewport = default_viewport(tropical_curve(poly, regular_triangulation(poly)))
@@ -275,6 +487,7 @@ def _amoeba_cases():
         HeightedPolygon.create(_TRIANGLE_4, [x * x + y * y for x, y in _TRIANGLE_4]), seed=1
     )
     square = HeightedPolygon.create(_SQUARE, 0)
+    four_e4 = _curve_case(FOUR_POINTS, FOUR_HEIGHTS, 4)
     return {
         "four_point_e2": _curve_case(FOUR_POINTS, FOUR_HEIGHTS, 2),
         "four_point_e8": _curve_case(FOUR_POINTS, FOUR_HEIGHTS, 8),
@@ -292,6 +505,19 @@ def _amoeba_cases():
             square,
             PatchworkParams(t=math.e**4, epsilon_loc=0.05, coefficients={(1, 1): 1e300}),
             (20, 4),
+            ((-100.0, -100.0), (100.0, 100.0)),
+        ),
+        # block edges: 13 rows of 64 phases are a block of 8 rows and one
+        # of 5; 1 phase puts 512 rows in a block; 600 phases 1 row
+        "rows_past_block_edge": four_e4[:2] + ((13, 64),) + four_e4[3:],
+        "single_row": four_e4[:2] + ((1, 64),) + four_e4[3:],
+        "single_phase": four_e4[:2] + ((600, 1),) + four_e4[3:],
+        "rows_wider_than_block": four_e4[:2] + ((3, 600),) + four_e4[3:],
+        # failed lines on both sides of a block edge (blocks of 128 rows)
+        "square_overflow_blocks": (
+            square,
+            PatchworkParams(t=math.e**4, epsilon_loc=0.05, coefficients={(1, 1): 1e300}),
+            (300, 4),
             ((-100.0, -100.0), (100.0, 100.0)),
         ),
         # w_1 does not occur: constant lines without roots
@@ -326,6 +552,8 @@ class TestAmoeba:
         assert cloud == _reference_amoeba(poly, params, grid, viewport)
         if name == "square_overflow":
             assert len(cloud.failed_lines) == 27
+        if name == "square_overflow_blocks":
+            assert cloud.failed_lines[0] < 256 * 4 <= cloud.failed_lines[-1]
         if name == "vertical_segment":
             assert cloud.points == () and cloud.failed_lines == ()
 
@@ -341,6 +569,52 @@ class TestAmoeba:
 
     def test_viewport_default_doubles_bbox_plus_three(self, four_curve):
         assert default_viewport(four_curve) == ((-3.875, -3.875), (3.625, 3.625))
+
+    def test_hausdorff_matches_reference_on_benchmark_clouds(self):
+        deg3 = [(x, y) for x in range(4) for y in range(4 - x)]
+        tri3 = perturb_heights(HeightedPolygon.create(deg3, [x * x + y * y for x, y in deg3]), 3)
+        for points, heights, log_ts in (
+            (FOUR_POINTS, FOUR_HEIGHTS, (2, 4, 8)),
+            (PARABOLOID_POINTS, _PARABOLOID_HEIGHTS, (4, 8, 16)),
+            (tri3.points, tri3.heights, (6,)),
+        ):
+            poly = HeightedPolygon.create(points, heights)
+            curve = tropical_curve(poly, regular_triangulation(poly))
+            for log_t in log_ts:
+                params = PatchworkParams(t=math.exp(log_t), epsilon_loc=0.05)
+                cloud = amoeba_sample(poly, params, grid=(200, 64), curve=curve)
+                expected = _reference_hausdorff(cloud, curve)
+                assert hausdorff_to_tropical(cloud, curve) == pytest.approx(expected, abs=1e-12)
+
+    def test_hausdorff_matches_reference_off_rows_empty_and_on_zero_length_segments(
+        self, four_curve
+    ):
+        rng = random.Random(11)
+        vp = default_viewport(four_curve)
+        (xlo, ylo), (xhi, yhi) = vp
+        # points off any sampler row, some outside the viewport
+        scatter = tuple(
+            (rng.uniform(xlo - 1.0, xhi + 1.0), rng.uniform(ylo - 1.0, yhi + 1.0))
+            for _ in range(3000)
+        )
+        cloud = AmoebaCloud(points=scatter, failed_lines=(), viewport=vp)
+        assert hausdorff_to_tropical(cloud, four_curve) == pytest.approx(
+            _reference_hausdorff(cloud, four_curve), abs=1e-12
+        )
+        # a viewport holding no point of the cloud
+        empty = ((50.0, 50.0), (60.0, 60.0))
+        assert hausdorff_to_tropical(cloud, four_curve, clip=empty) == math.inf
+        assert _reference_hausdorff(cloud, four_curve, clip=empty) == math.inf
+        # the vertex (1/4, 1/4) is the viewport's corner: both bounded edges
+        # leaving it clip to zero-length segments, the leg (1, 1) to a segment
+        corner = ((0.25, 0.25), (1.25, 1.25))
+        from conicmirror.numerics import _clipped_curve_segments
+
+        lengths = sorted(math.dist(p, q) for p, q in _clipped_curve_segments(four_curve, corner))
+        assert lengths[:2] == [0.0, 0.0] and lengths[2] > 1.0
+        assert hausdorff_to_tropical(cloud, four_curve, clip=corner) == pytest.approx(
+            _reference_hausdorff(cloud, four_curve, clip=corner), abs=1e-12
+        )
 
     def test_hausdorff_of_exact_curve_samples_is_small(self, four_curve):
         # feed curve samples back as a fake cloud: distance bounded by step
@@ -366,6 +640,18 @@ class TestAmoeba:
             distances.append(hausdorff_to_tropical(cloud, four_curve))
         assert distances[1] < distances[0]
         assert distances[1] < 0.35
+
+    def test_leg_zero_samples_match_reference_loop(
+        self, simplex, simplex_curve, four_point, four_curve
+    ):
+        for poly, curve in ((simplex, simplex_curve), (four_point, four_curve)):
+            # at eps 1 the cutoff bands reach the samples near the vertex,
+            # which then take secant steps
+            for log_t, eps in ((3, 0.05), (8, 0.05), (2, 1.0), (3, 1.0)):
+                params = PatchworkParams(t=math.exp(log_t), epsilon_loc=eps)
+                for leg in curve.legs:
+                    zeros = leg_zero_samples(poly, params, leg, count=40)
+                    assert repr(zeros) == repr(_reference_leg_zeros(poly, params, leg, 40))
 
     def test_leg_zero_samples_satisfy_leg_equation(self, simplex, simplex_curve):
         params = PatchworkParams(t=math.e**3, epsilon_loc=0.05)
