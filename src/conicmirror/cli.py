@@ -240,31 +240,24 @@ def _cmd_amoeba(spec: JobSpec) -> int:
     return 0
 
 
-def _cmd_ring_mul(spec: JobSpec) -> int:
+def _cmd_product(spec: JobSpec) -> int:
+    """ring-mul and theta-mul: the element format and payload kind follow the
+    command; theta_multiply is the mirror kernel under the theta layer's name."""
+    if spec.command == "theta-mul":
+        from_json, multiply, to_json = theta_element_from_json, theta_multiply, theta_element_to_json
+        kind = "theta_product"
+    else:
+        from_json, multiply, to_json = mirror_element_from_json, mirror_multiply, mirror_element_to_json
+        kind = "ring_product"
     data = _require_object(_load_json(spec.input_path), "input")
     poly = _polygon_of(data, "input")
     if "x" not in data or "y" not in data:
-        raise SchemaError("ring-mul input needs x and y elements")
-    x = mirror_element_from_json(data["x"], "input.x")
-    y = mirror_element_from_json(data["y"], "input.y")
+        raise SchemaError(f"{spec.command} input needs x and y elements")
+    x = from_json(data["x"], "input.x")
+    y = from_json(data["y"], "input.y")
     poly.require_full_dimensional()
-    product = mirror_multiply(poly, x, y)
-    payload = envelope("ring_product", {"product": mirror_element_to_json(product)})
-    _emit(spec, canonical_json(payload))
-    return 0
-
-
-def _cmd_theta_mul(spec: JobSpec) -> int:
-    data = _require_object(_load_json(spec.input_path), "input")
-    poly = _polygon_of(data, "input")
-    if "x" not in data or "y" not in data:
-        raise SchemaError("theta-mul input needs x and y elements")
-    x = theta_element_from_json(data["x"], "input.x")
-    y = theta_element_from_json(data["y"], "input.y")
-    poly.require_full_dimensional()
-    product = theta_multiply(poly, x, y)
-    payload = envelope("theta_product", {"product": theta_element_to_json(product)})
-    _emit(spec, canonical_json(payload))
+    product = multiply(poly, x, y)
+    _emit(spec, canonical_json(envelope(kind, {"product": to_json(product)})))
     return 0
 
 
@@ -427,8 +420,8 @@ _DISPATCH = {
     "triangulate": _cmd_triangulate,
     "tropical": _cmd_tropical,
     "amoeba": _cmd_amoeba,
-    "ring-mul": _cmd_ring_mul,
-    "theta-mul": _cmd_theta_mul,
+    "ring-mul": _cmd_product,
+    "theta-mul": _cmd_product,
     "verify-mirror": _cmd_verify_mirror,
     "sections": _cmd_sections,
     "mckay": _cmd_mckay,

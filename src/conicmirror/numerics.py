@@ -349,8 +349,7 @@ def _block_roots(series: np.ndarray) -> list[Optional[np.ndarray]]:
     if stack.any():
         comp = np.zeros((int(stack.sum()), deg, deg), dtype=complex)
         comp[:, 1:, :-1] = np.eye(deg - 1)
-        with np.errstate(over="ignore", invalid="ignore"):  # eigvals rejects inf, nan
-            comp[:, 0, :] = -series[stack, 1:] / series[stack, :1]
+        comp[:, 0, :] = -series[stack, 1:] / series[stack, :1]
         try:
             for i, r in zip(np.flatnonzero(stack), np.linalg.eigvals(comp)):
                 roots[i] = r
@@ -420,52 +419,48 @@ def amoeba_sample(
         row_r2 = r2_grid[first:first + rows_per_block].tolist()
         # w_2^alpha_2 per line, as Python complex powers: numpy's power
         # rounds negative exponents differently
-        w2_pows, out_of_range = [], None
-        try:
-            with _in_float_range(params.t):
-                for r2 in row_r2:
-                    modulus = math.exp(lt * r2)
-                    w2_pows += [w2 ** e for w2 in [modulus * ph for ph in phases] for e in w2_exps]
-        except RootFindingFailure as exc:
-            if not w2_pows:
-                raise
-            # finish the rows before the failing one first, so numpy warns
-            # about them as a row-by-row sampler would
-            out_of_range = exc
-        w2_pows = np.array(w2_pows, dtype=complex).reshape(-1, len(w2_exps))
-        series = np.zeros((len(w2_pows), max_pow + 1), dtype=complex)  # highest power first
-        for _, c, col, j in terms:
-            re, im = _cmul(c.real, c.imag, w2_pows[:, j].real, w2_pows[:, j].imag)
-            series[:, col].real += re
-            series[:, col].imag += im
-        roots = _block_roots(series)
-        failed.extend(first * n_phase + i for i, r in enumerate(roots) if r is None)
+        w2_pows = []
+        with _in_float_range(params.t):
+            for r2 in row_r2:
+                modulus = math.exp(lt * r2)
+                w2_pows += [w2 ** e for w2 in [modulus * ph for ph in phases] for e in w2_exps]
+        # inf and NaN are expected in the array work (a power of a tiny root
+        # may also divide by an underflowed zero): eigvals rejects them, the
+        # row falls back to numpy roots or fails, and the residual filter
+        # keeps a NaN comparison, so numpy need not warn about them
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            w2_pows = np.array(w2_pows, dtype=complex).reshape(-1, len(w2_exps))
+            series = np.zeros((len(w2_pows), max_pow + 1), dtype=complex)  # highest power first
+            for _, c, col, j in terms:
+                re, im = _cmul(c.real, c.imag, w2_pows[:, j].real, w2_pows[:, j].imag)
+                series[:, col].real += re
+                series[:, col].imag += im
+            roots = _block_roots(series)
+            failed.extend(first * n_phase + i for i, r in enumerate(roots) if r is None)
 
-        found = [np.empty(0) if r is None else r for r in roots]
-        line = np.repeat(np.arange(len(roots)), [len(r) for r in found])
-        w1 = np.concatenate(found).astype(complex)
-        line, w1 = line[w1 != 0], w1[w1 != 0]
-        # residual filter against the sum of term magnitudes, summed in the
-        # order of poly.points; a NaN comparison keeps the root
-        w1_pows = {e: np.power(w1, e) for e in {alpha[0] for alpha, _ in scales}}
-        w2_line = w2_pows[line]
-        sum_re = sum_im = mag = 0.0
-        for alpha, c, _, j in terms:
-            p = w1_pows[alpha[0]]
-            re, im = _cmul(c.real, c.imag, p.real, p.imag)
-            q = w2_line[:, j]
-            re, im = _cmul(re, im, q.real, q.imag)
-            sum_re, sum_im, mag = sum_re + re, sum_im + im, mag + np.hypot(re, im)
-        keep = ~((mag == 0.0) | (np.hypot(sum_re, sum_im) > 1e-8 * mag))
-        kept, kept_rows = w1[keep], (line[keep] // n_phase).tolist()
-        # np.hypot rounds as abs() of one complex does; np.abs does not;
-        # the points of a row share its r_2 float
-        points.extend(zip(
-            [math.log(m) / lt for m in np.hypot(kept.real, kept.imag).tolist()],
-            map(row_r2.__getitem__, kept_rows),
-        ))
-        if out_of_range is not None:
-            raise out_of_range
+            found = [np.empty(0) if r is None else r for r in roots]
+            line = np.repeat(np.arange(len(roots)), [len(r) for r in found])
+            w1 = np.concatenate(found).astype(complex)
+            line, w1 = line[w1 != 0], w1[w1 != 0]
+            # residual filter against the sum of term magnitudes, summed in the
+            # order of poly.points; a NaN comparison keeps the root
+            w1_pows = {e: np.power(w1, e) for e in {alpha[0] for alpha, _ in scales}}
+            w2_line = w2_pows[line]
+            sum_re = sum_im = mag = 0.0
+            for alpha, c, _, j in terms:
+                p = w1_pows[alpha[0]]
+                re, im = _cmul(c.real, c.imag, p.real, p.imag)
+                q = w2_line[:, j]
+                re, im = _cmul(re, im, q.real, q.imag)
+                sum_re, sum_im, mag = sum_re + re, sum_im + im, mag + np.hypot(re, im)
+            keep = ~((mag == 0.0) | (np.hypot(sum_re, sum_im) > 1e-8 * mag))
+            kept, kept_rows = w1[keep], (line[keep] // n_phase).tolist()
+            # np.hypot rounds as abs() of one complex does; np.abs does not;
+            # the points of a row share its r_2 float
+            points.extend(zip(
+                [math.log(m) / lt for m in np.hypot(kept.real, kept.imag).tolist()],
+                map(row_r2.__getitem__, kept_rows),
+            ))
     return AmoebaCloud(points=tuple(points), failed_lines=tuple(failed), viewport=viewport)
 
 
@@ -494,7 +489,8 @@ def _clip_segment_to_rect(
     return (t0, t1)
 
 
-def _clipped_curve_segments(curve: TropicalCurve, vp: Viewport) -> list[tuple[RealPoint, RealPoint]]:
+def _clipped_edges(curve: TropicalCurve, vp: Viewport) -> list[tuple[RealPoint, RealPoint]]:
+    """The bounded edges inside the viewport, clipped; zero length kept."""
     segments: list[tuple[RealPoint, RealPoint]] = []
     verts = [(float(v[0]), float(v[1])) for v in curve.vertices]
     for be in curve.bounded_edges:
@@ -507,6 +503,12 @@ def _clipped_curve_segments(curve: TropicalCurve, vp: Viewport) -> list[tuple[Re
             segments.append(
                 ((p[0] + s0 * d[0], p[1] + s0 * d[1]), (p[0] + s1 * d[0], p[1] + s1 * d[1]))
             )
+    return segments
+
+
+def _clipped_legs(curve: TropicalCurve, vp: Viewport) -> list[tuple[RealPoint, RealPoint]]:
+    """The legs inside the viewport, clipped; zero length dropped."""
+    segments: list[tuple[RealPoint, RealPoint]] = []
     for leg in curve.legs:
         p = (float(leg.base[0]), float(leg.base[1]))
         d = (float(leg.direction[0]), float(leg.direction[1]))
@@ -518,6 +520,10 @@ def _clipped_curve_segments(curve: TropicalCurve, vp: Viewport) -> list[tuple[Re
                     ((p[0] + s0 * d[0], p[1] + s0 * d[1]), (p[0] + s1 * d[0], p[1] + s1 * d[1]))
                 )
     return segments
+
+
+def _clipped_curve_segments(curve: TropicalCurve, vp: Viewport) -> list[tuple[RealPoint, RealPoint]]:
+    return _clipped_edges(curve, vp) + _clipped_legs(curve, vp)
 
 
 def hausdorff_to_tropical(

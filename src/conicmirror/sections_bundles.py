@@ -135,82 +135,61 @@ def shift_normalize(s: FramedSection) -> FramedSection:
 def enumerate_sections(tri: Triangulation, box: int) -> list[FramedSection]:
     """All valid sections with entries in [-box, box]^2, up to shift.
 
-    Returns one shift-normalized representative per class, sorted. The search
-    walks cells outward from cell 0 along interior edges; each new cell's
-    value is constrained to a 1-parameter family by its first visited
-    neighbor, and remaining edges are checked on assignment.
+    Returns one representative per class, the one with cell 0 at (0, 0),
+    sorted. A class fits the box exactly when each coordinate spreads (max
+    minus min over the cells) by at most 2*box, so one walk finds them all:
+    cell 0 is pinned at the origin, each later cell in BFS order along
+    interior edges gets its parent's value plus m times the primitive perp of
+    the shared edge, |m| <= 2*box, and a partial section survives while its
+    spread fits and it meets the constraint of every assigned neighbour.
     """
     if box < 0:
         raise ValueError("box must be >= 0")
     k = len(tri.cells)
+    # per cell: (neighbour, alpha - beta of the shared edge)
     adj: dict[int, list[tuple[int, Covector]]] = {c: [] for c in range(k)}
     for e in tri.interior_edges():
         c1, c2 = e.cells
         alpha, beta = tri.edge_points(e)
-        step = primitivize(perp(vsub(beta, alpha)))
-        adj[c1].append((c2, step))
-        adj[c2].append((c1, step))
+        adj[c1].append((c2, vsub(alpha, beta)))
+        adj[c2].append((c1, vsub(alpha, beta)))
 
     # visit order: BFS from cell 0 (dual graph of a polygon triangulation is
-    # connected); for each cell after the first, remember one visited neighbor
+    # connected); each cell after the first steps from one visited neighbor
     order = [0]
     parent: dict[int, tuple[int, Covector]] = {}
-    seen = {0}
-    qi = 0
-    while qi < len(order):
-        c = order[qi]
-        qi += 1
-        for d, step in adj[c]:
-            if d not in seen:
-                seen.add(d)
-                parent[d] = (c, step)
+    for c in order:
+        for d, diff in adj[c]:
+            if d != 0 and d not in parent:
+                parent[d] = (c, primitivize(perp(diff)))
                 order.append(d)
     if len(order) != k:
         raise UnknownCell("triangulation dual graph is not connected")
 
-    span = range(-box, box + 1)
-    found: set[tuple] = set()
+    spread = 2 * box
+    assign: dict[int, Covector] = {0: (0, 0)}
     results = []
 
-    def consistent(assign: dict[int, Covector], c: int) -> bool:
-        for d, _step in adj[c]:
-            if d in assign:
-                e_pts = None
-                for e in tri.interior_edges():
-                    if set(e.cells) == {c, d}:
-                        e_pts = tri.edge_points(e)
-                        break
-                alpha, beta = e_pts
-                if pairing(vsub(assign[c], assign[d]), vsub(alpha, beta)) != 0:
-                    return False
-        return True
-
-    def rec(pos: int, assign: dict[int, Covector]):
+    def rec(pos: int, xlo: int, xhi: int, ylo: int, yhi: int):
         if pos == k:
-            s = shift_normalize(FramedSection(dict(assign)))
-            key = tuple(s.items())
-            if key not in found:
-                found.add(key)
-                results.append(s)
+            results.append(FramedSection(dict(assign)))
             return
         c = order[pos]
-        if c in parent:
-            base_cell, step = parent[c]
-            bx, by = assign[base_cell]
-            candidates = []
-            for m in range(-4 * box - 4, 4 * box + 5):
-                v = (bx + m * step[0], by + m * step[1])
-                if -box <= v[0] <= box and -box <= v[1] <= box:
-                    candidates.append(v)
-        else:
-            candidates = [(x, y) for x in span for y in span]
-        for v in candidates:
-            assign[c] = v
-            if consistent(assign, c):
-                rec(pos + 1, assign)
-            del assign[c]
+        base, (sx, sy) = parent[c]
+        bx, by = assign[base]
+        for m in range(-spread, spread + 1):
+            v = (bx + m * sx, by + m * sy)
+            lo_x, hi_x = min(xlo, v[0]), max(xhi, v[0])
+            lo_y, hi_y = min(ylo, v[1]), max(yhi, v[1])
+            if hi_x - lo_x > spread or hi_y - lo_y > spread:
+                continue
+            if all(pairing(vsub(v, assign[d]), diff) == 0
+                   for d, diff in adj[c] if d in assign):
+                assign[c] = v
+                rec(pos + 1, lo_x, hi_x, lo_y, hi_y)
+                del assign[c]
 
-    rec(0, {})
+    rec(1, 0, 0, 0, 0)
     results.sort(key=lambda s: tuple(s.items()))
     return results
 

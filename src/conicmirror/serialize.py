@@ -299,7 +299,7 @@ def plot_svg(
     class "leg" so they are countable in the output. Amoeba points render
     as a translucent cloud under the curve.
     """
-    from .numerics import _clipped_curve_segments, _clip_segment_to_rect
+    from .numerics import _clipped_edges, _clipped_legs
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -316,35 +316,18 @@ def plot_svg(
                 f'<circle class="amoeba" cx="{x:.2f}" cy="{y:.2f}" r="1.5" '
                 f'fill="#d08080" fill-opacity="0.5"/>'
             )
+    for cls, color, segments in (
+        ("edge", "#204080", _clipped_edges(curve, viewport)),
+        ("leg", "#208040", _clipped_legs(curve, viewport)),
+    ):
+        for p, q in segments:
+            a = _svg_coords(p, viewport, width, height)
+            b = _svg_coords(q, viewport, width, height)
+            parts.append(
+                f'<line class="{cls}" x1="{a[0]:.2f}" y1="{a[1]:.2f}" '
+                f'x2="{b[0]:.2f}" y2="{b[1]:.2f}" stroke="{color}" stroke-width="2"/>'
+            )
     verts = [(float(v[0]), float(v[1])) for v in curve.vertices]
-    for be in curve.bounded_edges:
-        p, q = verts[be.v[0]], verts[be.v[1]]
-        d = (q[0] - p[0], q[1] - p[1])
-        rng = _clip_segment_to_rect(p, d, 0.0, 1.0, viewport)
-        if rng is None:
-            continue
-        s0, s1 = rng
-        a = _svg_coords((p[0] + s0 * d[0], p[1] + s0 * d[1]), viewport, width, height)
-        b = _svg_coords((p[0] + s1 * d[0], p[1] + s1 * d[1]), viewport, width, height)
-        parts.append(
-            f'<line class="edge" x1="{a[0]:.2f}" y1="{a[1]:.2f}" '
-            f'x2="{b[0]:.2f}" y2="{b[1]:.2f}" stroke="#204080" stroke-width="2"/>'
-        )
-    for leg in curve.legs:
-        p = (float(leg.base[0]), float(leg.base[1]))
-        d = (float(leg.direction[0]), float(leg.direction[1]))
-        rng = _clip_segment_to_rect(p, d, 0.0, 1e30, viewport)
-        if rng is None:
-            continue
-        s0, s1 = rng
-        if s1 <= s0:
-            continue
-        a = _svg_coords((p[0] + s0 * d[0], p[1] + s0 * d[1]), viewport, width, height)
-        b = _svg_coords((p[0] + s1 * d[0], p[1] + s1 * d[1]), viewport, width, height)
-        parts.append(
-            f'<line class="leg" x1="{a[0]:.2f}" y1="{a[1]:.2f}" '
-            f'x2="{b[0]:.2f}" y2="{b[1]:.2f}" stroke="#208040" stroke-width="2"/>'
-        )
     for v in verts:
         x, y = _svg_coords(v, viewport, width, height)
         parts.append(

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -14,12 +15,24 @@ from conicmirror.cli import JobSpec, main
 from conicmirror.errors import SchemaError
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 SIMPLEX = {"points": [[0, 0], [1, 0], [0, 1]], "heights": ["0", "0", "0"]}
 FOUR_POINT = {
     "points": [[0, 0], [1, 0], [0, 1], [-1, -1]],
     "heights": ["-1/4", "0", "0", "0"],
 }
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports the package from src/."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 @pytest.fixture
@@ -353,6 +366,17 @@ class TestAmoeba:
         assert out.err.startswith("RootFindingFailure: line coefficients at t = 1e+300")
         assert "Traceback" not in out.err
 
+    def test_overflow_is_not_reported_as_numpy_warnings(self):
+        # a fresh process: numpy warns once per source line and process, and
+        # the rows before the failing power overflow in the residual filter
+        proc = _python("-m", "conicmirror.cli", "amoeba", "--in", str(SAMPLES / "simplex.json"),
+                       "--t", "1e300", "--grid", "600x1")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("RootFindingFailure: ")
+
 
 class TestPlot:
     def test_four_point_overlay_has_three_legs(self, four_point_path, tmp_path):
@@ -384,11 +408,7 @@ class TestPlot:
 
 class TestConsoleEntry:
     def test_module_invocation_round_trips(self, four_point_path):
-        proc = subprocess.run(
-            [sys.executable, "-m", "conicmirror.cli", "triangulate", "--in", four_point_path],
-            capture_output=True,
-            text=True,
-        )
+        proc = _python("-m", "conicmirror.cli", "triangulate", "--in", four_point_path)
         assert proc.returncode == 0
         data = json.loads(proc.stdout)
         assert data["version"]
@@ -464,11 +484,7 @@ class TestNumpyFree:
             ["plot", "--in", four, "--out", out],
         ]
         amoeba = ["amoeba", "--in", simplex, "--t", "7.389", "--grid", "8x4", "--out", out]
-        proc = subprocess.run(
-            [sys.executable, "-c", _IMPORT_PROBE, json.dumps([exact, amoeba])],
-            capture_output=True,
-            text=True,
-        )
+        proc = _python("-c", _IMPORT_PROBE, json.dumps([exact, amoeba]))
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout.splitlines()[-1])
         assert result["codes"] == [0] * (len(exact) + 1)

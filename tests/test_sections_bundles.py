@@ -1,14 +1,21 @@
 """Tests for framed sections and line-bundle degree vectors."""
 
+import contextlib
+import itertools
 import random
+import time
 
 import pytest
 
-from conicmirror.errors import InvalidSection, UnknownCell
+from conicmirror.errors import InvalidSection, NonTriangularCell, UnknownCell
 from conicmirror.lattice_geometry import (
+    Covector,
+    HeightedPolygon,
     pairing,
     perp,
+    perturb_heights,
     primitivize,
+    regular_triangulation,
     vsub,
 )
 from conicmirror.sections_bundles import (
@@ -20,6 +27,109 @@ from conicmirror.sections_bundles import (
     degree_vector,
     enumerate_sections,
     shift_normalize,
+)
+
+
+def _reference_enumerate_sections(tri, box):
+    """The search before the single walk, kept as an oracle.
+
+    One full search per value of cell 0 in [-box, box]^2: each later cell,
+    in BFS order, takes its parent's value plus a multiple of the primitive
+    perp of the shared edge, staying inside the box, and is checked against
+    every assigned neighbour by a scan of the interior edges; the complete
+    sections are shift-normalized and repeats dropped.
+    """
+    if box < 0:
+        raise ValueError("box must be >= 0")
+    k = len(tri.cells)
+    adj: dict[int, list[tuple[int, Covector]]] = {c: [] for c in range(k)}
+    for e in tri.interior_edges():
+        c1, c2 = e.cells
+        alpha, beta = tri.edge_points(e)
+        step = primitivize(perp(vsub(beta, alpha)))
+        adj[c1].append((c2, step))
+        adj[c2].append((c1, step))
+
+    order = [0]
+    parent: dict[int, tuple[int, Covector]] = {}
+    seen = {0}
+    qi = 0
+    while qi < len(order):
+        c = order[qi]
+        qi += 1
+        for d, step in adj[c]:
+            if d not in seen:
+                seen.add(d)
+                parent[d] = (c, step)
+                order.append(d)
+    if len(order) != k:
+        raise UnknownCell("triangulation dual graph is not connected")
+
+    span = range(-box, box + 1)
+    found: set[tuple] = set()
+    results = []
+
+    def consistent(assign, c):
+        for d, _step in adj[c]:
+            if d in assign:
+                e_pts = None
+                for e in tri.interior_edges():
+                    if set(e.cells) == {c, d}:
+                        e_pts = tri.edge_points(e)
+                        break
+                alpha, beta = e_pts
+                if pairing(vsub(assign[c], assign[d]), vsub(alpha, beta)) != 0:
+                    return False
+        return True
+
+    def rec(pos, assign):
+        if pos == k:
+            s = shift_normalize(FramedSection(dict(assign)))
+            key = tuple(s.items())
+            if key not in found:
+                found.add(key)
+                results.append(s)
+            return
+        c = order[pos]
+        if c in parent:
+            base_cell, step = parent[c]
+            bx, by = assign[base_cell]
+            candidates = []
+            for m in range(-4 * box - 4, 4 * box + 5):
+                v = (bx + m * step[0], by + m * step[1])
+                if -box <= v[0] <= box and -box <= v[1] <= box:
+                    candidates.append(v)
+        else:
+            candidates = [(x, y) for x in span for y in span]
+        for v in candidates:
+            assign[c] = v
+            if consistent(assign, c):
+                rec(pos + 1, assign)
+            del assign[c]
+
+    rec(0, {})
+    results.sort(key=lambda s: tuple(s.items()))
+    return results
+
+
+def _triangle(d):
+    return [(x, y) for x in range(d + 1) for y in range(d + 1 - x)]
+
+
+def _rectangle(a, b):
+    return [(x, y) for x in range(a + 1) for y in range(b + 1)]
+
+
+# (name, points, largest box) for the comparison with the oracle; the
+# oracle's root loop makes boxes past these slow on the larger shapes
+WALK_SHAPES = (
+    ("simplex", _triangle(1), 3),
+    ("four-point", [(0, 0), (1, 0), (0, 1), (-1, -1)], 3),
+    ("triangle-2", _triangle(2), 3),
+    ("triangle-3", _triangle(3), 1),
+    ("rectangle-1x1", _rectangle(1, 1), 3),
+    ("rectangle-2x1", _rectangle(2, 1), 3),
+    ("hexagon", [(0, 0), (1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)], 1),
 )
 
 
@@ -145,6 +255,39 @@ class TestEnumerateSections:
     def test_negative_box_rejected(self, four_point_tri):
         with pytest.raises(ValueError):
             enumerate_sections(four_point_tri, -1)
+
+    def test_walk_matches_reference_on_seeded_triangulations(self):
+        # perturb_heights of zero heights gives a random regular
+        # triangulation per seed (seeds that leave a square face are
+        # skipped); equal triangulations give equal lists, so the oracle
+        # runs once per distinct (triangulation, box)
+        reference = {}
+        compared = 0
+        for name, points, max_box in WALK_SHAPES:
+            base = HeightedPolygon.create(points, 0)
+            tris = []
+            for seed in itertools.count():
+                if len(tris) == 300:
+                    break
+                with contextlib.suppress(NonTriangularCell):
+                    tris.append((seed, regular_triangulation(perturb_heights(base, seed))))
+            for seed, tri in tris:
+                box = seed % (max_box + 1)
+                if (tri, box) not in reference:
+                    reference[tri, box] = _reference_enumerate_sections(tri, box)
+                got = enumerate_sections(tri, box)
+                assert got == reference[tri, box], (name, seed, box)
+                compared += 1
+        assert compared >= 2000
+        assert len({tri.cells for tri, _ in reference}) >= 60
+
+    def test_star_box_twenty_is_fast(self, four_point_tri):
+        start = time.perf_counter()
+        classes = enumerate_sections(four_point_tri, 20)
+        assert time.perf_counter() - start < 1.0
+        assert len(classes) == 81
+        assert classes == sorted(classes, key=lambda s: tuple(s.items()))
+        assert all(s[0] == (0, 0) for s in classes)
 
 
 class TestShiftNormalize:
