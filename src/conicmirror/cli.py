@@ -11,9 +11,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from . import __version__
 from .errors import ConicMirrorError, SchemaError
@@ -58,20 +59,6 @@ from .serialize import (
 from .theta_ring import theta_multiply, verify_mirror_iso
 from .tropical_curves import chambers, tropical_curve
 
-COMMANDS = (
-    "triangulate",
-    "tropical",
-    "amoeba",
-    "ring-mul",
-    "theta-mul",
-    "verify-mirror",
-    "sections",
-    "mckay",
-    "moment",
-    "plot",
-    "acceptance",
-)
-
 
 @dataclass(frozen=True)
 class JobSpec:
@@ -83,21 +70,30 @@ class JobSpec:
     options: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.command not in COMMANDS:
+        command = COMMANDS.get(self.command)
+        if command is None:
             raise SchemaError(f"unknown command {self.command!r}")
-        needs_input = self.command != "acceptance"
-        if needs_input and not self.input_path:
+        if command.takes_input and not self.input_path:
             raise SchemaError(f"{self.command} requires --in")
-        required = {
-            "verify-mirror": ("bound_n", "bound_i"),
-            "amoeba": ("t",),
-            "sections": ("box",),
-            "moment": ("eps_blowup",),
-        }.get(self.command, ())
-        for key in required:
-            if self.options.get(key) is None:
-                flag = "--" + key.replace("_", "-")
+        for flag in command.required:
+            if self.options.get(_key(flag)) is None:
                 raise SchemaError(f"{self.command} requires {flag}")
+
+
+@dataclass(frozen=True)
+class Command:
+    """A CLI command: its handler, its option flags in --help order, the
+    flags it cannot run without, and whether it reads an --in file."""
+
+    handler: Callable[[JobSpec], int]
+    flags: tuple[str, ...] = ()
+    required: tuple[str, ...] = ()
+    takes_input: bool = True
+
+
+def _key(flag: str) -> str:
+    """The option key of a flag, as argparse names its dest: --eps-loc -> eps_loc."""
+    return flag[2:].replace("-", "_")
 
 
 def _load_json(path: str) -> Any:
@@ -165,7 +161,16 @@ def _parse_viewport(text: str) -> tuple[tuple[float, float], tuple[float, float]
         ) from exc
     if not (x0 < x1 and y0 < y1):
         raise SchemaError("--viewport must have x0 < x1 and y0 < y1")
+    if not all(math.isfinite(v) for v in (x0, y0, x1, y1, x1 - x0, y1 - y0)):
+        raise SchemaError("--viewport must have finite corners and widths")
     return ((x0, y0), (x1, y1))
+
+
+def _parse_sublattice(text: str) -> Any:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"--sublattice is not valid JSON: {exc}") from exc
 
 
 def _emit(spec: JobSpec, text: str) -> None:
@@ -212,7 +217,9 @@ def _cmd_tropical(spec: JobSpec) -> int:
 
 def _params_from(spec: JobSpec) -> PatchworkParams:
     t = spec.options.get("t")
-    eps = spec.options.get("eps_loc") or 0.05
+    eps = spec.options.get("eps_loc")
+    if eps is None:
+        eps = 0.05
     try:
         return PatchworkParams(t=float(t), epsilon_loc=float(eps))
     except ValueError as exc:
@@ -416,25 +423,52 @@ def _cmd_acceptance(spec: JobSpec) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-_DISPATCH = {
-    "triangulate": _cmd_triangulate,
-    "tropical": _cmd_tropical,
-    "amoeba": _cmd_amoeba,
-    "ring-mul": _cmd_product,
-    "theta-mul": _cmd_product,
-    "verify-mirror": _cmd_verify_mirror,
-    "sections": _cmd_sections,
-    "mckay": _cmd_mckay,
-    "moment": _cmd_moment,
-    "plot": _cmd_plot,
-    "acceptance": _cmd_acceptance,
+COMMANDS = {
+    "triangulate": Command(_cmd_triangulate),
+    "tropical": Command(_cmd_tropical),
+    "amoeba": Command(
+        _cmd_amoeba, ("--t", "--eps-loc", "--grid", "--viewport"), required=("--t",)
+    ),
+    "ring-mul": Command(_cmd_product),
+    "theta-mul": Command(_cmd_product),
+    "verify-mirror": Command(
+        _cmd_verify_mirror, ("--bound-n", "--bound-i"), required=("--bound-n", "--bound-i")
+    ),
+    "sections": Command(_cmd_sections, ("--box",), required=("--box",)),
+    "mckay": Command(_cmd_mckay, ("--sublattice",)),
+    "moment": Command(_cmd_moment, ("--eps-blowup",), required=("--eps-blowup",)),
+    "plot": Command(_cmd_plot, ("--t", "--eps-loc", "--grid", "--viewport", "--overlay")),
+    "acceptance": Command(_cmd_acceptance, ("--seed",), takes_input=False),
+}
+
+# argparse keywords of every option flag
+_FLAGS = {
+    "--t": {"type": float},
+    "--eps-loc": {"type": float},
+    "--eps-blowup": {"type": float},
+    "--bound-n": {"type": int},
+    "--bound-i": {"type": int},
+    "--box": {"type": int},
+    "--sublattice": {},
+    "--grid": {},
+    "--viewport": {},
+    "--seed": {"type": int},
+    "--overlay": {"choices": ["amoeba"]},
+}
+
+# string flags parsed after argparse, so that a bad value is a SchemaError;
+# an empty value counts as not given
+_PARSE = {
+    "--grid": _parse_grid,
+    "--viewport": _parse_viewport,
+    "--sublattice": _parse_sublattice,
 }
 
 
 def run(spec: JobSpec) -> int:
     """Execute a validated job; exit code semantics as in the module docstring."""
     try:
-        return _DISPATCH[spec.command](spec)
+        return COMMANDS[spec.command].handler(spec)
     except SchemaError as exc:
         print(f"SchemaError: {exc}", file=sys.stderr)
         return 2
@@ -451,74 +485,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, *flags: str) -> argparse.ArgumentParser:
+    for name, command in COMMANDS.items():
         p = sub.add_parser(name)
-        if name != "acceptance":
-            p.add_argument("--in", dest="input_path", required=False)
-        p.add_argument("--out", dest="output_path", required=False)
-        for flag in flags:
-            if flag == "--t":
-                p.add_argument("--t", type=float)
-            elif flag == "--eps-loc":
-                p.add_argument("--eps-loc", dest="eps_loc", type=float)
-            elif flag == "--eps-blowup":
-                p.add_argument("--eps-blowup", dest="eps_blowup", type=float)
-            elif flag == "--bound-n":
-                p.add_argument("--bound-n", dest="bound_n", type=int)
-            elif flag == "--bound-i":
-                p.add_argument("--bound-i", dest="bound_i", type=int)
-            elif flag == "--box":
-                p.add_argument("--box", type=int)
-            elif flag == "--sublattice":
-                p.add_argument("--sublattice", type=str)
-            elif flag == "--grid":
-                p.add_argument("--grid", type=str)
-            elif flag == "--viewport":
-                p.add_argument("--viewport", type=str)
-            elif flag == "--seed":
-                p.add_argument("--seed", type=int)
-            elif flag == "--overlay":
-                p.add_argument("--overlay", choices=["amoeba"])
-        return p
-
-    add("triangulate")
-    add("tropical")
-    add("amoeba", "--t", "--eps-loc", "--grid", "--viewport")
-    add("ring-mul")
-    add("theta-mul")
-    add("verify-mirror", "--bound-n", "--bound-i")
-    add("sections", "--box")
-    add("mckay", "--sublattice")
-    add("moment", "--eps-blowup")
-    add("plot", "--t", "--eps-loc", "--grid", "--viewport", "--overlay")
-    add("acceptance", "--seed")
+        if command.takes_input:
+            p.add_argument("--in", dest="input_path")
+        p.add_argument("--out", dest="output_path")
+        for flag in command.flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
 def spec_from_args(args: argparse.Namespace) -> JobSpec:
     options: dict[str, Any] = {}
-    for key in (
-        "t",
-        "eps_loc",
-        "eps_blowup",
-        "bound_n",
-        "bound_i",
-        "box",
-        "seed",
-        "overlay",
-    ):
-        if hasattr(args, key):
-            options[key] = getattr(args, key)
-    if getattr(args, "grid", None):
-        options["grid"] = _parse_grid(args.grid)
-    if getattr(args, "viewport", None):
-        options["viewport"] = _parse_viewport(args.viewport)
-    if getattr(args, "sublattice", None):
-        try:
-            options["sublattice"] = json.loads(args.sublattice)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"--sublattice is not valid JSON: {exc}") from exc
+    for flag in COMMANDS[args.command].flags:
+        value = getattr(args, _key(flag))
+        if flag in _PARSE:
+            value = _PARSE[flag](value) if value else None
+        options[_key(flag)] = value
     return JobSpec(
         command=args.command,
         input_path=getattr(args, "input_path", None),

@@ -16,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
     DegeneratePolygon,
@@ -34,16 +34,8 @@ RationalLike = Union[int, str, Fraction]
 # vector helpers
 
 
-def vadd(a: Sequence, b: Sequence) -> tuple:
-    return (a[0] + b[0], a[1] + b[1])
-
-
 def vsub(a: Sequence, b: Sequence) -> tuple:
     return (a[0] - b[0], a[1] - b[1])
-
-
-def vneg(a: Sequence) -> tuple:
-    return (-a[0], -a[1])
 
 
 def pairing(n: Sequence, m: Sequence):
@@ -246,10 +238,6 @@ class HeightedPolygon:
     def hull(self) -> list[Point]:
         return convex_hull(self.points)
 
-    def has_all_lattice_points(self) -> bool:
-        """True iff A contains every lattice point of conv(A)."""
-        return set(lattice_points_in_hull(self.points)) <= set(self.points)
-
 
 # ---------------------------------------------------------------------------
 # triangulations
@@ -278,10 +266,6 @@ class Triangulation:
     cells: tuple[tuple[int, int, int], ...]
     edges: tuple[Edge, ...] = field(default=())
     vertices_used: tuple[int, ...] = field(default=())
-
-    def cell_points(self, cell_id: int) -> tuple[Point, Point, Point]:
-        i, j, k = self.cells[cell_id]
-        return (self.points[i], self.points[j], self.points[k])
 
     def interior_edges(self) -> list[Edge]:
         return [e for e in self.edges if e.interior]
@@ -398,16 +382,6 @@ def _lift(poly: HeightedPolygon) -> list[tuple[int, int, int]]:
         (p[0], p[1], h.numerator * (lcm // h.denominator))
         for p, h in zip(poly.points, poly.heights)
     ]
-
-
-def _side(lifted: Sequence[tuple[int, int, int]], cell: Sequence[int], q: int) -> int:
-    """> 0, 0 or < 0 as lifted q lies above, on or below the lifted cell's plane."""
-    a, b, c = (lifted[i] for i in cell)
-    ux, uy, uz = b[0] - a[0], b[1] - a[1], b[2] - a[2]
-    vx, vy, vz = c[0] - a[0], c[1] - a[1], c[2] - a[2]
-    wx, wy, wz = lifted[q][0] - a[0], lifted[q][1] - a[1], lifted[q][2] - a[2]
-    det = wx * (uy * vz - uz * vy) + wy * (uz * vx - ux * vz) + wz * (ux * vy - uy * vx)
-    return det if ux * vy - uy * vx > 0 else -det
 
 
 def _pivot(lifted: Sequence[tuple[int, int, int]], a: int, b: int) -> Optional[list[int]]:
@@ -541,23 +515,35 @@ def unimodular_triangulation(poly: HeightedPolygon) -> Triangulation:
     return regular_triangulation(poly)
 
 
-def is_adapted(poly: HeightedPolygon, tri: Triangulation) -> bool:
-    """True iff the heights induce exactly this triangulation (up to cell order).
+def _fold_rows(tri: Triangulation) -> Iterator[tuple[tuple[tuple[int, int], ...], bool]]:
+    """Adaptedness as integer linear forms in the heights, one at a time.
 
-    Local criterion (De Loera-Rambau-Santos, Triangulations, 2010, ch. 2):
-    the lift is folded strictly convexly across every interior edge, i.e. the
-    far vertex of one adjacent cell lifts strictly above the other cell's
-    plane, and every unused point lies on or above the plane of a cell that
-    contains it. Integer determinants only; O(edges + unused * cells).
+    Each item is (row, strict), row a tuple of (point id, coefficient) pairs.
+    The heights nu induce tri (up to cell order) iff every row r has
+    sum(c * nu[q] for q, c in r) > 0 when strict and >= 0 when not (De
+    Loera-Rambau-Santos, Triangulations, 2010, ch. 2). A row says that a point
+    lifts above the plane of a cell: |D| times its height minus the affine
+    interpolation of the cell's vertex heights at it, D the cell's doubled
+    signed area. One strict row per interior edge (the far vertex of one
+    adjacent cell above the other cell: a strictly convex fold) and one weak
+    row per unused point (on or above a cell that contains it). Every row
+    vanishes on affine heights.
     """
-    if tuple(tri.points) != tuple(poly.points):
-        return False
-    lifted = _lift(poly)
-    for e in tri.interior_edges():
-        (far,) = set(tri.cells[e.cells[1]]) - set(e.v)
-        if _side(lifted, tri.cells[e.cells[0]], far) <= 0:
-            return False
     pts = tri.points
+
+    def above(cell: Sequence[int], q: int) -> tuple[tuple[int, int], ...]:
+        a, b, c = cell
+        (ax, ay), (bx, by), (cx, cy), (qx, qy) = pts[a], pts[b], pts[c], pts[q]
+        ux, uy, vx, vy, wx, wy = bx - ax, by - ay, cx - ax, cy - ay, qx - ax, qy - ay
+        d = ux * vy - uy * vx
+        cb, cc = vx * wy - vy * wx, wx * uy - wy * ux
+        s = 1 if d > 0 else -1
+        return ((a, -s * (cb + cc + d)), (b, s * cb), (c, s * cc), (q, s * d))
+
+    for e in tri.edges:
+        if e.interior:
+            (far,) = set(tri.cells[e.cells[1]]) - set(e.v)
+            yield above(tri.cells[e.cells[0]], far), True
     used = {i for c in tri.cells for i in c}
     for q in range(len(pts)):
         if q in used:
@@ -566,7 +552,27 @@ def is_adapted(poly: HeightedPolygon, tri: Triangulation) -> bool:
             (c for c in tri.cells if point_in_hull(convex_hull(pts[i] for i in c), pts[q])),
             None,
         )
-        if cell is None or _side(lifted, cell, q) < 0:
+        if cell is None:
+            yield (), True  # no cell holds q: a row that nothing satisfies
+        else:
+            yield above(cell, q), False
+
+
+def is_adapted(poly: HeightedPolygon, tri: Triangulation) -> bool:
+    """True iff the heights induce exactly this triangulation (up to cell order).
+
+    Evaluates the rows of _fold_rows on the integer-scaled heights and stops
+    at the first one with the wrong sign. Integer arithmetic only;
+    O(edges + unused * cells).
+    """
+    if tuple(tri.points) != tuple(poly.points):
+        return False
+    z = [p[2] for p in _lift(poly)]
+    for row, strict in _fold_rows(tri):
+        value = 0
+        for q, c in row:
+            value += c * z[q]
+        if value < 0 or (strict and value == 0):
             return False
     return True
 
@@ -574,43 +580,57 @@ def is_adapted(poly: HeightedPolygon, tri: Triangulation) -> bool:
 def coherence_witness(tri: Triangulation) -> Optional[HeightedPolygon]:
     """Heights certifying that tri is regular, or None if tri is incoherent.
 
-    Exact LP feasibility: for each cell, the affine function interpolating its
-    lifted vertices must lie strictly below all other lifted points. A margin
-    variable t is maximized subject to interpolation(q) + t <= nu(q), with all
-    heights boxed to [-1, 1] (the constraint system is scale-invariant); the
-    witness exists iff the optimum has t > 0. Solved with an exact rational
-    simplex. The returned heights are verified with is_adapted before return.
+    Maximizes a margin t subject to t - r.h <= 0 on the strict rows r of
+    _fold_rows, -r.h <= 0 on the weak ones and t <= 1, over t >= 0 and
+    heights h >= 0; tri is regular iff the optimum is positive. The rows
+    vanish on affine heights, so h >= 0 loses nothing, and every right-hand
+    side is >= 0, so the all-slack basis is feasible and the exact Fraction
+    simplex needs no phase 1. Bland's rule (smallest entering column,
+    smallest leaving basic variable on a tie) keeps the degenerate pivots
+    from cycling. The returned heights are verified with is_adapted.
     """
-    import sympy
-    from sympy.solvers.simplex import lpmax
-
-    pts = tri.points
-    n = len(pts)
-    hs = sympy.symbols(f"h0:{n}")
-    t = sympy.Symbol("t")
-    constraints = [t >= 0, t <= 1]
-    for s in hs:
-        constraints += [s >= -1, s <= 1]
-    for cell in tri.cells:
-        i, j, k = cell
-        a, b, c = pts[i], pts[j], pts[k]
-        d = cross(vsub(b, a), vsub(c, a))
-        ab, ac = vsub(b, a), vsub(c, a)
-        for q in range(n):
-            if q in cell:
+    n = len(tri.points)
+    one = Fraction(1)
+    # columns: 0 is t, 1 + q the height of point q, 1 + n + i the slack of row i
+    rows = [
+        {**{1 + q: Fraction(-c) for q, c in row if c}, **({0: one} if strict else {})}
+        for row, strict in _fold_rows(tri)
+    ]
+    rows.append({0: one})
+    rhs = [Fraction(0)] * (len(rows) - 1) + [one]
+    basis = [1 + n + i for i in range(len(rows))]
+    for i, row in enumerate(rows):
+        row[1 + n + i] = one
+    cost = {0: -one}  # reduced costs; a negative one can still raise t
+    while True:
+        enter = min((j for j, c in cost.items() if c < 0), default=None)
+        if enter is None:
+            break
+        # t <= 1 bounds the objective, so some row limits every entering column
+        _, _, p = min(
+            (rhs[i] / row[enter], basis[i], i)
+            for i, row in enumerate(rows) if row.get(enter, 0) > 0
+        )
+        f = rows[p][enter]
+        pivot = {j: c / f for j, c in rows[p].items()}
+        rows[p], rhs[p], basis[p] = pivot, rhs[p] / f, enter
+        for i, row in enumerate([*rows, cost]):
+            f = row.get(enter)
+            if i == p or not f:
                 continue
-            aq = vsub(pts[q], a)
-            lam_b = sympy.Rational(cross(aq, ac), d)
-            lam_c = sympy.Rational(cross(ab, aq), d)
-            interp = hs[i] + lam_b * (hs[j] - hs[i]) + lam_c * (hs[k] - hs[i])
-            constraints.append(interp + t <= hs[q])
-    opt, assignment = lpmax(t, constraints)
-    if opt <= 0:
+            for j, c in pivot.items():
+                v = row.get(j, 0) - f * c
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+            if i < len(rhs):
+                rhs[i] -= f * rhs[p]
+    value = dict(zip(basis, rhs))
+    if value.get(0, 0) <= 0:
         return None
-    heights = tuple(
-        Fraction(int(assignment[s].p), int(assignment[s].q)) for s in hs
-    )
-    witness = HeightedPolygon(points=pts, heights=heights)
+    heights = tuple(value.get(1 + q, Fraction(0)) for q in range(n))
+    witness = HeightedPolygon(points=tri.points, heights=heights)
     if not is_adapted(witness, tri):
         raise InconsistentInput("LP witness failed verification")
     return witness

@@ -189,22 +189,6 @@ def section_to_json(s: FramedSection) -> dict:
     return {"section": {str(c): list(v) for c, v in s.items()}}
 
 
-def section_from_json(data: Any, where: str = "section") -> FramedSection:
-    if not isinstance(data, Mapping) or "section" not in data:
-        raise SchemaError(f"{where}: expected an object with a 'section' map")
-    body = data["section"]
-    if not isinstance(body, Mapping):
-        raise SchemaError(f"{where}.section: expected an object keyed by cell id")
-    values = {}
-    for key, v in body.items():
-        try:
-            cell = int(key)
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"{where}.section: bad cell id {key!r}") from exc
-        values[cell] = _int_pair(v, f"{where}.section[{key}]")
-    return FramedSection(values)
-
-
 def degree_vector_to_json(d: LineBundleClass) -> dict:
     return {str(e): v for e, v in d.items()}
 

@@ -322,6 +322,25 @@ class TestAmoeba:
         out = capsys.readouterr()
         assert out.out == "" and "SchemaError" in out.err
 
+    def test_zero_eps_loc_exits_2(self, simplex_path, capsys):
+        # 0 is not the default 0.05: like -1, it is out of range
+        for eps in ("0", "-1"):
+            assert main(["amoeba", "--in", simplex_path, "--t", "7.389", "--eps-loc", eps]) == 2
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err == "SchemaError: epsilon_loc must be finite and > 0\n"
+
+    @pytest.mark.parametrize(
+        "viewport", ["-inf,-1,inf,1", "-1e308,-1e308,1e308,1e308", "0,0,1,inf"]
+    )
+    @pytest.mark.parametrize("command", [["amoeba", "--t", "10"], ["plot"]])
+    def test_non_finite_viewport_exits_2(self, four_point_path, capsys, command, viewport):
+        argv = command + ["--in", four_point_path, f"--viewport={viewport}"]
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "SchemaError: --viewport must have finite corners and widths\n"
+
     def test_bad_grid_exits_2(self, simplex_path):
         assert (
             main(["amoeba", "--in", simplex_path, "--t", "7.389", "--grid", "axb"])
@@ -413,20 +432,6 @@ class TestConsoleEntry:
         data = json.loads(proc.stdout)
         assert data["version"]
         assert len(data["triangulation"]["cells"]) == 3
-
-    def test_preset_data_file_parses(self):
-        from importlib import resources
-
-        from conicmirror.mirror_ring import c3_preset
-        from conicmirror.serialize import mirror_element_from_json, polygon_from_json
-
-        raw = json.loads(
-            resources.files("conicmirror").joinpath("data/c3_preset.json").read_text()
-        )
-        poly, gens = c3_preset()
-        assert polygon_from_json(raw["polygon"]) == poly
-        for name in ("x", "y", "z"):
-            assert mirror_element_from_json(raw["generators"][name]) == gens[name]
 
 
 def _job_files(tmp_path) -> dict:

@@ -36,6 +36,7 @@ from conicmirror.lattice_geometry import (
     is_adapted,
     is_unimodular,
     lattice_points_in_hull,
+    orient,
     perturb_heights,
     regular_triangulation,
     unimodular_triangulation,
@@ -173,17 +174,80 @@ def test_coherence_witness_star(four_point_tri):
     assert h0 < plane_at_origin
 
 
+# the classical non-regular pinwheels: an outer triangle around an inner
+# one, each outer edge coned to one inner vertex, the two cell lists turning
+# opposite ways round
+PINWHEEL = [(0, 0), (12, 0), (0, 12), (3, 3), (6, 3), (3, 6)]
+PINWHEEL_CELLS = (
+    [(0, 1, 4), (0, 2, 3), (0, 3, 4), (1, 2, 5), (1, 4, 5), (2, 3, 5), (3, 4, 5)],
+    [(0, 1, 3), (0, 2, 5), (0, 3, 5), (1, 2, 4), (1, 3, 4), (2, 4, 5), (3, 4, 5)],
+)
+PINWHEEL_IMAGES = {
+    "pinwheel": PINWHEEL,
+    "reflected": [(y, x) for x, y in PINWHEEL],
+    "sheared": [(x + y, y) for x, y in PINWHEEL],
+}
+
+
 def test_coherence_witness_pinwheel_is_none():
-    # classical non-regular pinwheel: outer triangle, rotated inner triangle
-    pts = [(0, 0), (12, 0), (0, 12), (3, 3), (6, 3), (3, 6)]
-    cells = [(0, 1, 4), (0, 3, 4), (1, 2, 5), (1, 4, 5), (2, 0, 3), (2, 5, 3), (3, 4, 5)]
-    tri = build_triangulation(pts, cells)
-    assert coherence_witness(tri) is None
-    # while the same point set does admit regular triangulations
-    generic = regular_triangulation(
-        perturb_heights(HeightedPolygon.create(pts, 0), seed=3)
+    for name, pts in PINWHEEL_IMAGES.items():
+        for cells in PINWHEEL_CELLS:
+            assert coherence_witness(build_triangulation(pts, cells)) is None, (name, cells)
+        # while the same point set does admit regular triangulations
+        generic = regular_triangulation(
+            perturb_heights(HeightedPolygon.create(pts, 0), seed=3)
+        )
+        assert coherence_witness(generic) is not None
+
+
+def _flip_neighbours(tri):
+    """The triangulations one diagonal flip away from tri."""
+    pts = tri.points
+    for e in tri.interior_edges():
+        u, v = e.v
+        (a,) = set(tri.cells[e.cells[0]]) - {u, v}
+        (b,) = set(tri.cells[e.cells[1]]) - {u, v}
+        if orient(pts[a], pts[b], pts[u]) * orient(pts[a], pts[b], pts[v]) < 0:
+            kept = [c for i, c in enumerate(tri.cells) if i not in e.cells]
+            yield build_triangulation(pts, kept + [(a, b, u), (a, b, v)])
+
+
+def test_coherence_witness_induces_its_triangulation():
+    # regular triangulations of a paraboloid lift with random bumps, some
+    # with unused points, and every flip neighbour: a witness induces exactly
+    # its triangulation, and only the pinwheels have none
+    rng = random.Random(9)
+    witnessed, rejected = 0, 0
+    for pts in (
+        [(x, y) for x in range(3) for y in range(3)],
+        [(x, y) for x in range(4) for y in range(4 - x)],
+        PINWHEEL,
+    ):
+        bump = max(x * x + y * y for x, y in pts) // 2
+        for seed in range(6):
+            heights = [x * x + y * y + rng.randint(0, bump) for x, y in pts]
+            tri = regular_triangulation(perturb_heights(HeightedPolygon.create(pts, heights), seed))
+            for t in [tri, *_flip_neighbours(tri)]:
+                w = coherence_witness(t)
+                if w is None:
+                    assert t is not tri and [tuple(c) for c in t.cells] in PINWHEEL_CELLS
+                    rejected += 1
+                else:
+                    assert regular_triangulation(w).cells == t.cells
+                    witnessed += 1
+    assert rejected >= 1 and witnessed >= 50, (rejected, witnessed)
+
+
+def test_coherence_witness_degree_six_triangle_within_budget():
+    pts = [(x, y) for x in range(7) for y in range(7 - x)]
+    tri = regular_triangulation(
+        perturb_heights(HeightedPolygon.create(pts, [x * x + y * y for x, y in pts]), seed=1)
     )
-    assert coherence_witness(generic) is not None
+    start = time.perf_counter()
+    w = coherence_witness(tri)
+    elapsed = time.perf_counter() - start
+    assert w is not None and regular_triangulation(w).cells == tri.cells
+    assert elapsed < 1.0, f"witness for 36 cells took {elapsed:.2f} s"
 
 
 def test_perturb_heights_deterministic(four_point):
