@@ -14,7 +14,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
 from .lattice_geometry import HeightedPolygon, is_unimodular, regular_triangulation
 from .mckay_covers import (
@@ -364,15 +364,6 @@ CRITERIA: tuple[tuple[str, Callable[[int], CriterionResult]], ...] = (
 )
 
 
-def run_all(
-    seed: int = 0,
-    progress: Optional[Callable[[CriterionResult], None]] = None,
-) -> list[CriterionResult]:
-    """Run every criterion; the optional callback sees each result as it lands."""
-    results = []
-    for _, fn in CRITERIA:
-        result = fn(seed)
-        results.append(result)
-        if progress is not None:
-            progress(result)
-    return results
+def run_all(seed: int = 0) -> list[CriterionResult]:
+    """Run every criterion in order."""
+    return [fn(seed) for _, fn in CRITERIA]

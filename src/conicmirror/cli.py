@@ -34,7 +34,7 @@ from .numerics import (
     default_viewport,
     moment_map_detail,
 )
-from .sections_bundles import classification_report, degree_vector
+from .sections_bundles import classification_report
 from .serialize import (
     canonical_json,
     cloud_to_csv,
@@ -102,7 +102,7 @@ def _load_json(path: str) -> Any:
             return json.load(f)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also not UTF-8, too deep, too many digits
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -169,16 +169,19 @@ def _parse_viewport(text: str) -> tuple[tuple[float, float], tuple[float, float]
 def _parse_sublattice(text: str) -> Any:
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"--sublattice is not valid JSON: {exc}") from exc
 
 
 def _emit(spec: JobSpec, text: str) -> None:
-    if spec.output_path:
+    if not spec.output_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(spec.output_path, "w", encoding="utf-8") as f:
             f.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise SchemaError(f"cannot write {spec.output_path}: {exc}") from exc
 
 
 # ------------------------------------------------------------- commands
@@ -276,7 +279,7 @@ def _cmd_verify_mirror(spec: JobSpec) -> int:
         )
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
-    print(f"failures: {len(report.failures)}")
+    # the report file is written first, so a bad --out prints no summary
     if spec.output_path:
         payload = envelope(
             "mirror_verification",
@@ -290,8 +293,8 @@ def _cmd_verify_mirror(spec: JobSpec) -> int:
                 "ok": report.ok,
             },
         )
-        with open(spec.output_path, "w", encoding="utf-8") as f:
-            f.write(canonical_json(payload))
+        _emit(spec, canonical_json(payload))
+    print(f"failures: {len(report.failures)}")
     return 0
 
 
@@ -404,9 +407,6 @@ def _cmd_acceptance(spec: JobSpec) -> int:
     from .acceptance import run_all
 
     results = run_all(seed=int(spec.options.get("seed") or 0))
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"{status} {r.name}: {r.detail}")
     if spec.output_path:
         payload = envelope(
             "acceptance",
@@ -418,8 +418,10 @@ def _cmd_acceptance(spec: JobSpec) -> int:
                 "ok": all(r.passed for r in results),
             },
         )
-        with open(spec.output_path, "w", encoding="utf-8") as f:
-            f.write(canonical_json(payload))
+        _emit(spec, canonical_json(payload))
+    for r in results:
+        status = "PASS" if r.passed else "FAIL"
+        print(f"{status} {r.name}: {r.detail}")
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -518,6 +520,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a separate value that starts with '-', as -2,-2,2,2 does,
+    # for an option: join each --viewport to the token after it
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--viewport":
+            argv[i:i + 2] = [f"--viewport={argv[i + 1]}"]
     args = _parser().parse_args(argv)
     try:
         spec = spec_from_args(args)

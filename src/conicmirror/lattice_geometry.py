@@ -83,13 +83,26 @@ def primitivize(v: Covector) -> Covector:
     return (v[0] // g, v[1] // g)
 
 
+# Largest decimal exponent of a rational string, Python's limit on the digits
+# of an integer string: Fraction("1e999999999") would build 10**999999999.
+MAX_DECIMAL_EXPONENT = 4300
+
+
 def as_fraction(x: RationalLike) -> Fraction:
-    """Exact rational from int, Fraction, or a string ("p/q" or decimal)."""
+    """Exact rational from int, Fraction, or a string ("p/q" or decimal).
+
+    Raises ValueError for a decimal exponent beyond MAX_DECIMAL_EXPONENT.
+    """
     if isinstance(x, bool):
         raise TypeError("bool is not a rational height")
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
     if isinstance(x, str):
+        exponent = x.lower().partition("e")[2]
+        # an exponent that is not an integer makes Fraction reject x itself
+        if exponent.strip().lstrip("+-").replace("_", "").isdigit():
+            if abs(int(exponent)) > MAX_DECIMAL_EXPONENT:
+                raise ValueError(f"decimal exponent of {x!r} exceeds {MAX_DECIMAL_EXPONENT}")
         return Fraction(x)
     raise TypeError(f"expected exact rational, got {type(x).__name__}: {x!r}")
 
@@ -527,7 +540,9 @@ def _fold_rows(tri: Triangulation) -> Iterator[tuple[tuple[tuple[int, int], ...]
     signed area. One strict row per interior edge (the far vertex of one
     adjacent cell above the other cell: a strictly convex fold) and one weak
     row per unused point (on or above a cell that contains it). Every row
-    vanishes on affine heights.
+    vanishes on affine heights. The three vertex coefficients of a row are
+    -|D| times the barycentric coordinates of the point, so a cell contains
+    the point exactly when none of them is positive.
     """
     pts = tri.points
 
@@ -548,14 +563,12 @@ def _fold_rows(tri: Triangulation) -> Iterator[tuple[tuple[tuple[int, int], ...]
     for q in range(len(pts)):
         if q in used:
             continue
-        cell = next(
-            (c for c in tri.cells if point_in_hull(convex_hull(pts[i] for i in c), pts[q])),
-            None,
-        )
-        if cell is None:
+        rows = (above(c, q) for c in tri.cells)
+        row = next((r for r in rows if r[0][1] <= 0 and r[1][1] <= 0 and r[2][1] <= 0), None)
+        if row is None:
             yield (), True  # no cell holds q: a row that nothing satisfies
         else:
-            yield above(cell, q), False
+            yield row, False
 
 
 def is_adapted(poly: HeightedPolygon, tri: Triangulation) -> bool:

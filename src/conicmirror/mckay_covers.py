@@ -25,8 +25,8 @@ from .lattice_geometry import (
     Point,
     _exgcd,
     convex_hull,
-    lattice_points_in_hull,
-    orient,
+    gcd2,
+    hull_doubled_area,
 )
 from .mirror_ring import Coefficient, Scalar, SparseExact, _clean, product_terms
 from .theta_ring import ThetaElement
@@ -150,10 +150,6 @@ class QuotientGroup:
 
     def sub(self, g: GroupElement, h: GroupElement) -> GroupElement:
         return self.add(g, self.neg(h))
-
-    @property
-    def identity(self) -> GroupElement:
-        return (0, 0)
 
 
 def quotient(sub: Sublattice) -> QuotientGroup:
@@ -333,13 +329,16 @@ def has_compact_divisor(poly: HeightedPolygon, sub: Sublattice) -> bool:
 
     An interior lattice point of the cover polygon is dilation data for a
     compact toric divisor upstairs. This is a reported indicator, not a
-    proof of any categorical statement.
+    proof of any categorical statement. By Pick's theorem the hull has
+    (2A - B + 2) / 2 interior lattice points, 2A its doubled area and B the
+    lattice points on its boundary, so no point is visited.
     """
     hull = cover_polygon(poly, sub)
     if len(hull) < 3:
         return False
-    for q in lattice_points_in_hull(hull):
-        k = len(hull)
-        if all(orient(hull[t], hull[(t + 1) % k], q) > 0 for t in range(k)):
-            return True
-    return False
+    k = len(hull)
+    boundary = sum(
+        gcd2(hull[t][0] - hull[(t + 1) % k][0], hull[t][1] - hull[(t + 1) % k][1])
+        for t in range(k)
+    )
+    return hull_doubled_area(hull) - boundary + 2 > 0

@@ -17,8 +17,7 @@ import contextlib
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 from .errors import RootFindingFailure, UndefinedAtOrigin
 from .lattice_geometry import HeightedPolygon, Point, _exgcd, primitivize, vsub
@@ -305,12 +304,12 @@ class AmoebaCloud:
     viewport: Viewport
 
 
-def default_viewport(curve: TropicalCurve, scale: float = 2.0, pad: float = 3.0) -> Viewport:
+def default_viewport(curve: TropicalCurve) -> Viewport:
     """Twice the bounding box of the compact part, padded by 3 units."""
     (xlo, ylo), (xhi, yhi) = curve.bounding_box()
     cx, cy = (float(xlo + xhi) / 2.0, float(ylo + yhi) / 2.0)
-    hx = scale * float(xhi - xlo) / 2.0 + pad
-    hy = scale * float(yhi - ylo) / 2.0 + pad
+    hx = float(xhi - xlo) + 3.0
+    hy = float(yhi - ylo) + 3.0
     return ((cx - hx, cy - hy), (cx + hx, cy + hy))
 
 
@@ -530,15 +529,14 @@ def hausdorff_to_tropical(
     cloud: AmoebaCloud,
     curve: TropicalCurve,
     clip: Optional[Viewport] = None,
-    curve_step: float = 0.02,
 ) -> float:
     """Symmetric Hausdorff distance between the clipped cloud and curve.
 
     Cloud-to-curve distances are exact point-to-segment minima over the
     curve pieces clipped to the viewport; curve-to-cloud distances are taken
-    over a dense sampling of those pieces against a k-d tree of the clipped
-    cloud. Units are the base-t log coordinates shared by both sides.
-    Returns +inf when either side is empty in the viewport.
+    over samples of those pieces at most 0.02 apart against a k-d tree of
+    the clipped cloud. Units are the base-t log coordinates shared by both
+    sides. Returns +inf when either side is empty in the viewport.
     """
     import numpy as np
     from scipy.spatial import cKDTree  # imported here: scipy.spatial is slow to load
@@ -570,7 +568,7 @@ def hausdorff_to_tropical(
     # curve -> cloud, sampled
     samples = []
     for (px, py), (qx, qy) in segments:
-        count = max(2, int(math.hypot(qx - px, qy - py) / curve_step) + 1)
+        count = max(2, int(math.hypot(qx - px, qy - py) / 0.02) + 1)
         s = np.linspace(0.0, 1.0, count)
         samples.append(np.column_stack((px + s * (qx - px), py + s * (qy - py))))
     # an unbalanced tree builds faster and finds the same nearest distances
@@ -585,8 +583,6 @@ def leg_zero_samples(
     params: PatchworkParams,
     leg: Leg,
     count: int = 100,
-    s_start: float = 0.5,
-    s_end: float = 2.5,
 ) -> list[tuple[complex, complex]]:
     """Points of the localized hypersurface over the interior of a leg.
 
@@ -610,7 +606,7 @@ def leg_zero_samples(
 
     out: list[tuple[complex, complex]] = []
     for idx in range(count):
-        s = s_start + (s_end - s_start) * idx / max(1, count - 1)
+        s = 0.5 + 2.0 * idx / max(1, count - 1)
         n1 = lt * (float(leg.base[0]) + s * leg.direction[0])
         n2 = lt * (float(leg.base[1]) + s * leg.direction[1])
         w = (cmath.exp(complex(n1, theta[0])), cmath.exp(complex(n2, theta[1])))

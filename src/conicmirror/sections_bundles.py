@@ -15,7 +15,7 @@ endpoint. Any consistent convention flips signs uniformly per edge.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import InvalidSection, UnknownCell
 from .lattice_geometry import (

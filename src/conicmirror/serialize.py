@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional
 
 from . import __version__
 from .errors import SchemaError
-from .lattice_geometry import HeightedPolygon, Triangulation, build_triangulation
+from .lattice_geometry import HeightedPolygon, Triangulation, as_fraction
 from .mckay_covers import CoverAlgebraElement, Sublattice
 from .mirror_ring import MirrorElement
 from .numerics import AmoebaCloud, Viewport
@@ -30,11 +30,9 @@ def rational_str(x: Fraction) -> str:
 def parse_rational(value: Any, where: str) -> Fraction:
     if isinstance(value, bool):
         raise SchemaError(f"{where}: expected a rational, got a boolean")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)):
         try:
-            return Fraction(value)
+            return as_fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"{where}: bad rational string {value!r}") from exc
     raise SchemaError(f"{where}: expected an integer or 'p/q' string, got {value!r}")
@@ -263,10 +261,14 @@ def cloud_to_csv(cloud: AmoebaCloud) -> str:
 # -------------------------------------------------------------------- SVG
 
 
-def _svg_coords(p, vp: Viewport, width: int, height: int) -> tuple[float, float]:
+# width and height of every SVG plot, in pixels
+SVG_SIZE = 600
+
+
+def _svg_coords(p, vp: Viewport) -> tuple[float, float]:
     (xlo, ylo), (xhi, yhi) = vp
-    x = (float(p[0]) - xlo) / (xhi - xlo) * width
-    y = height - (float(p[1]) - ylo) / (yhi - ylo) * height
+    x = (float(p[0]) - xlo) / (xhi - xlo) * SVG_SIZE
+    y = SVG_SIZE - (float(p[1]) - ylo) / (yhi - ylo) * SVG_SIZE
     return x, y
 
 
@@ -274,8 +276,6 @@ def plot_svg(
     curve: TropicalCurve,
     viewport: Viewport,
     cloud: Optional[AmoebaCloud] = None,
-    width: int = 600,
-    height: int = 600,
 ) -> str:
     """Deterministic SVG of the tropical curve, optional amoeba overlay.
 
@@ -286,16 +286,16 @@ def plot_svg(
     from .numerics import _clipped_edges, _clipped_legs
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" height="{SVG_SIZE}" '
+        f'viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
+        f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>',
     ]
     if cloud is not None:
         (xlo, ylo), (xhi, yhi) = viewport
         for p in cloud.points:
             if not (xlo <= p[0] <= xhi and ylo <= p[1] <= yhi):
                 continue
-            x, y = _svg_coords(p, viewport, width, height)
+            x, y = _svg_coords(p, viewport)
             parts.append(
                 f'<circle class="amoeba" cx="{x:.2f}" cy="{y:.2f}" r="1.5" '
                 f'fill="#d08080" fill-opacity="0.5"/>'
@@ -305,15 +305,15 @@ def plot_svg(
         ("leg", "#208040", _clipped_legs(curve, viewport)),
     ):
         for p, q in segments:
-            a = _svg_coords(p, viewport, width, height)
-            b = _svg_coords(q, viewport, width, height)
+            a = _svg_coords(p, viewport)
+            b = _svg_coords(q, viewport)
             parts.append(
                 f'<line class="{cls}" x1="{a[0]:.2f}" y1="{a[1]:.2f}" '
                 f'x2="{b[0]:.2f}" y2="{b[1]:.2f}" stroke="{color}" stroke-width="2"/>'
             )
     verts = [(float(v[0]), float(v[1])) for v in curve.vertices]
     for v in verts:
-        x, y = _svg_coords(v, viewport, width, height)
+        x, y = _svg_coords(v, viewport)
         parts.append(
             f'<circle class="vertex" cx="{x:.2f}" cy="{y:.2f}" r="3" fill="#202020"/>'
         )
@@ -332,7 +332,7 @@ def plot_svg(
             if label is None or label in labeled:
                 continue
             labeled.add(label)
-            x, y = _svg_coords(n, viewport, width, height)
+            x, y = _svg_coords(n, viewport)
             parts.append(
                 f'<text class="chamber" x="{x:.2f}" y="{y:.2f}" '
                 f'font-size="12" fill="#606060">{label[0]},{label[1]}</text>'

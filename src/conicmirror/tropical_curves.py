@@ -37,30 +37,15 @@ from .lattice_geometry import (
 RationalPoint = tuple[Fraction, Fraction]
 
 
-@dataclass(frozen=True)
-class TropicalPolynomial:
-    """Terms (alpha, nu(alpha)); evaluation is max of <n,alpha> - nu(alpha)."""
-
-    terms: tuple[tuple[Point, Fraction], ...]
-
-    def __post_init__(self):
-        exps = [t[0] for t in self.terms]
-        if len(set(exps)) != len(exps):
-            raise ValueError("duplicate exponents")
-
-    @classmethod
-    def from_polygon(cls, poly: HeightedPolygon) -> "TropicalPolynomial":
-        return cls(terms=tuple(zip(poly.points, poly.heights)))
-
-
 def eval_tropical(
-    L: TropicalPolynomial, n: Sequence
+    poly: HeightedPolygon, n: Sequence
 ) -> tuple[Fraction, tuple[Point, ...]]:
-    """(max value, sorted tuple of terms attaining it) at a rational point n."""
+    """(value, sorted tuple of the points alpha attaining it) of the tropical
+    polynomial max <n, alpha> - nu(alpha) of poly at a rational point n."""
     nn = (Fraction(n[0]), Fraction(n[1]))
     best: Optional[Fraction] = None
     argmax: list[Point] = []
-    for alpha, h in L.terms:
+    for alpha, h in zip(poly.points, poly.heights):
         v = nn[0] * alpha[0] + nn[1] * alpha[1] - h
         if best is None or v > best:
             best = v
@@ -75,10 +60,10 @@ class Chamber:
     """Open region where the term labeled by alpha strictly wins the max."""
 
     label: Point
-    polynomial: TropicalPolynomial
+    polygon: HeightedPolygon
 
     def contains(self, n: Sequence) -> bool:
-        _, argmax = eval_tropical(self.polynomial, n)
+        _, argmax = eval_tropical(self.polygon, n)
         return argmax == (self.label,)
 
 
@@ -125,7 +110,6 @@ class BoundedEdge:
 class TropicalCurve:
     polygon: HeightedPolygon
     triangulation: Triangulation
-    polynomial: TropicalPolynomial
     vertices: tuple[RationalPoint, ...]  # parallel to triangulation.cells
     bounded_edges: tuple[BoundedEdge, ...]
     legs: tuple[Leg, ...]
@@ -170,7 +154,6 @@ def tropical_curve(poly: HeightedPolygon, tri: Triangulation) -> TropicalCurve:
     """
     if tuple(tri.points) != tuple(poly.points) or not is_adapted(poly, tri):
         raise InconsistentInput("triangulation is not adapted to the heights")
-    L = TropicalPolynomial.from_polygon(poly)
     vertices = tuple(dual_vertex(poly, c) for c in tri.cells)
 
     bounded = []
@@ -208,7 +191,6 @@ def tropical_curve(poly: HeightedPolygon, tri: Triangulation) -> TropicalCurve:
     return TropicalCurve(
         polygon=poly,
         triangulation=tri,
-        polynomial=L,
         vertices=vertices,
         bounded_edges=tuple(bounded),
         legs=tuple(legs),
@@ -217,14 +199,13 @@ def tropical_curve(poly: HeightedPolygon, tri: Triangulation) -> TropicalCurve:
 
 def chamber_of(poly: HeightedPolygon, n: Sequence) -> Optional[Point]:
     """The label of the chamber containing n, or None if n is on the curve."""
-    _, argmax = eval_tropical(TropicalPolynomial.from_polygon(poly), n)
+    _, argmax = eval_tropical(poly, n)
     return argmax[0] if len(argmax) == 1 else None
 
 
 def chambers(poly: HeightedPolygon, tri: Triangulation) -> list[Chamber]:
     """The nonempty chambers: one per vertex used by the triangulation."""
-    L = TropicalPolynomial.from_polygon(poly)
-    return [Chamber(label=poly.points[i], polynomial=L) for i in tri.vertices_used]
+    return [Chamber(label=poly.points[i], polygon=poly) for i in tri.vertices_used]
 
 
 def edge_weight(alpha: Point, beta: Point) -> int:

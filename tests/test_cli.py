@@ -101,6 +101,61 @@ class TestTriangulate:
         assert "DegeneratePolygon" in capsys.readouterr().err
 
 
+def _assert_one_schema_error(code, capsys):
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err.startswith("SchemaError: ") and out.err.count("\n") == 1
+
+
+class TestJsonBoundary:
+    _UNDECODABLE = {
+        "nested_100000_deep": b"[" * 100_000 + b"]" * 100_000,
+        "not_utf8": b'{"points": [[0, 0], [1, 0], [0, 1]], "heights": ["\xe9", 0, 0]}',
+        "5000_digit_height": (
+            b'{"points": [[0, 0], [1, 0], [0, 1]], "heights": [' + b"7" * 5000 + b", 0, 0]}"
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(_UNDECODABLE))
+    def test_undecodable_input_exits_2(self, tmp_path, capsys, case):
+        path = tmp_path / "in.json"
+        path.write_bytes(self._UNDECODABLE[case])
+        _assert_one_schema_error(main(["triangulate", "--in", str(path)]), capsys)
+
+    def test_deeply_nested_sublattice_exits_2(self, simplex_path, capsys):
+        code = main(["mckay", "--in", simplex_path, "--sublattice", "[" * 100_000 + "]" * 100_000])
+        _assert_one_schema_error(code, capsys)
+
+    @pytest.mark.parametrize("where", ["missing_directory", "directory"])
+    @pytest.mark.parametrize(
+        "command", [["triangulate"], ["verify-mirror", "--bound-n", "1", "--bound-i", "0"]]
+    )
+    def test_unwritable_out_exits_2(self, simplex_path, tmp_path, capsys, command, where):
+        out = tmp_path / "missing" / "out.json" if where == "missing_directory" else tmp_path
+        code = main(command + ["--in", simplex_path, "--out", str(out)])
+        _assert_one_schema_error(code, capsys)
+
+    @pytest.mark.parametrize(
+        "command, body",
+        [
+            (["triangulate"], {"points": SIMPLEX["points"], "heights": ["1e999999999", "0", "0"]}),
+            (["ring-mul"], {
+                "polygon": SIMPLEX,
+                "x": [{"n": [1, 0], "i": 0, "c": "1e999999999"}],
+                "y": [{"n": [0, 1], "i": 0, "c": "1"}],
+            }),
+        ],
+    )
+    def test_huge_decimal_exponent_exits_2_at_once(self, tmp_path, capsys, command, body):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(body))
+        start = time.perf_counter()
+        code = main(command + ["--in", str(path)])
+        assert time.perf_counter() - start < 1.0
+        _assert_one_schema_error(code, capsys)
+
+
 class TestTropical:
     def test_four_point_curve_summary(self, four_point_path, capsys):
         assert main(["tropical", "--in", four_point_path]) == 0
@@ -241,6 +296,18 @@ class TestMckay:
         assert data["order"] == 3
         assert data["has_compact_divisor"] is False
 
+    def test_huge_quotient_answers_at_once(self, simplex_path, capsys):
+        # |G| = 10^10: the cover triangle holds about 5 * 10^9 lattice points
+        start = time.perf_counter()
+        code = main(
+            ["mckay", "--in", simplex_path, "--sublattice", '{"basis": [[100000, 0], [0, 100000]]}']
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["order"] == 10**10
+        assert data["has_compact_divisor"] is True
+
     def test_singular_sublattice_exits_3(self, simplex_path, capsys):
         code = main(
             ["mckay", "--in", simplex_path, "--sublattice", '{"basis": [[1,0],[2,0]]}']
@@ -340,6 +407,19 @@ class TestAmoeba:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == "SchemaError: --viewport must have finite corners and widths\n"
+
+    @pytest.mark.parametrize(
+        "command",
+        [["amoeba", "--t", "54.598", "--grid", "12x4"],
+         ["plot", "--t", "54.598", "--overlay", "amoeba", "--grid", "12x4"]],
+    )
+    def test_viewport_as_separate_argument(self, four_point_path, capsys, command):
+        outputs = []
+        for form in (["--viewport", "-2,-2,2,2"], ["--viewport=-2,-2,2,2"]):
+            assert main(command + ["--in", four_point_path] + form) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].err == "" and outputs[0].out
 
     def test_bad_grid_exits_2(self, simplex_path):
         assert (

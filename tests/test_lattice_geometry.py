@@ -27,6 +27,7 @@ from conicmirror.errors import (
 )
 from conicmirror.lattice_geometry import (
     HeightedPolygon,
+    _fold_rows,
     build_triangulation,
     cell_doubled_area,
     coherence_witness,
@@ -38,6 +39,7 @@ from conicmirror.lattice_geometry import (
     lattice_points_in_hull,
     orient,
     perturb_heights,
+    point_in_hull,
     regular_triangulation,
     unimodular_triangulation,
     vsub,
@@ -273,6 +275,18 @@ def test_build_triangulation_rejects_bad_input():
 def test_heights_reject_floats():
     with pytest.raises(TypeError):
         HeightedPolygon.create([(0, 0), (1, 0), (0, 1)], [0.25, 0, 0])
+
+
+def test_huge_decimal_exponent_rejected_before_it_is_built():
+    start = time.perf_counter()
+    for height in ("1e999999999", "1e-999999999", "1e4301"):
+        with pytest.raises(ValueError, match="exceeds 4300"):
+            HeightedPolygon.create([(0, 0), (1, 0), (0, 1)], [height, 0, 0])
+    assert time.perf_counter() - start < 1.0
+    poly = HeightedPolygon.create([(0, 0), (1, 0), (0, 1)], ["-1/4", "2.5e-3", "1e300"])
+    assert poly.heights == (Fraction(-1, 4), Fraction(1, 400), Fraction(10**300))
+    bounds = HeightedPolygon.create([(0, 0), (1, 0)], ["1e4300", "-1E-4300"])
+    assert bounds.heights == (Fraction(10**4300), Fraction(-1, 10**4300))
 
 
 def test_lattice_points_in_hull():
@@ -518,6 +532,32 @@ def test_local_is_adapted_matches_retriangulation_on_random_heights():
             checked += 1
             adapted += expected
     assert min(adapted, checked - adapted) >= 50
+
+
+def test_fold_rows_place_unused_points_in_the_first_cell_holding_them():
+    # reference: the first cell, in cell order, whose hull holds the point
+    rng = random.Random(7)
+    checked = 0
+    while checked < 300:
+        pts = _small_point_set(rng)
+        poly = HeightedPolygon.create(pts, _small_heights(rng, pts))
+        if not poly.is_full_dimensional:
+            continue
+        try:
+            tri = regular_triangulation(poly)
+        except NonTriangularCell:
+            continue
+        used = {i for c in tri.cells for i in c}
+        unused = [q for q in range(len(pts)) if q not in used]
+        rows = list(_fold_rows(tri))[len(tri.interior_edges()):]
+        assert len(rows) == len(unused)
+        for q, (row, strict) in zip(unused, rows):
+            cell = next(
+                c for c in tri.cells
+                if point_in_hull(convex_hull(tri.points[i] for i in c), tri.points[q])
+            )
+            assert not strict and [i for i, _ in row] == [*cell, q]
+            checked += 1
 
 
 _TRIANGLE_3 = [(0, 0), (3, 0), (0, 3), (1, 1)]

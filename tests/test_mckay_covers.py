@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conicmirror.errors import InconsistentEntry, SingularMatrix
+from conicmirror.lattice_geometry import HeightedPolygon, lattice_points_in_hull, orient
 from conicmirror.mckay_covers import (
     CoverAlgebraElement,
     Sublattice,
@@ -287,3 +288,26 @@ class TestCoverPolygon:
     def test_base_and_doubled_covers_have_none(self, simplex):
         assert has_compact_divisor(simplex, Sublattice.full()) is False
         assert has_compact_divisor(simplex, Sublattice(((2, 0), (0, 2)))) is False
+
+    def test_pick_count_matches_lattice_scan(self):
+        def scan(poly, sub):
+            # reference: visit every lattice point of the cover polygon
+            hull = cover_polygon(poly, sub)
+            k = len(hull)
+            return k >= 3 and any(
+                all(orient(hull[t], hull[(t + 1) % k], q) > 0 for t in range(k))
+                for q in lattice_points_in_hull(hull)
+            )
+
+        rng = random.Random(3)
+        verdicts = []
+        while len(verdicts) < 400:
+            points = {(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(rng.randint(1, 5))}
+            basis = tuple(tuple(rng.randint(-3, 3) for _ in range(2)) for _ in range(2))
+            if basis[0][0] * basis[1][1] == basis[0][1] * basis[1][0]:
+                continue
+            poly, sub = HeightedPolygon.create(sorted(points), 0), Sublattice(basis)
+            expected = scan(poly, sub)
+            assert has_compact_divisor(poly, sub) is expected, (sorted(points), basis)
+            verdicts.append(expected)
+        assert min(verdicts.count(True), verdicts.count(False)) >= 50

@@ -15,7 +15,6 @@ from conicmirror.lattice_geometry import (
 )
 from conicmirror.tropical_curves import (
     Chamber,
-    TropicalPolynomial,
     balancing_defect,
     chamber_of,
     chambers,
@@ -37,13 +36,11 @@ def simplex_curve(simplex, simplex_tri):
 
 
 def test_eval_tropical_examples(four_point, simplex):
-    L = TropicalPolynomial.from_polygon(four_point)
-    assert eval_tropical(L, (2, 0)) == (Fraction(2), ((1, 0),))
-    value, argmax = eval_tropical(L, (Fraction(1, 4), Fraction(1, 4)))
+    assert eval_tropical(four_point, (2, 0)) == (Fraction(2), ((1, 0),))
+    value, argmax = eval_tropical(four_point, (Fraction(1, 4), Fraction(1, 4)))
     assert value == Fraction(1, 4)
     assert argmax == ((0, 0), (0, 1), (1, 0))
-    Ls = TropicalPolynomial.from_polygon(simplex)
-    assert eval_tropical(Ls, (0, 0)) == (Fraction(0), ((0, 0), (0, 1), (1, 0)))
+    assert eval_tropical(simplex, (0, 0)) == (Fraction(0), ((0, 0), (0, 1), (1, 0)))
 
 
 def test_four_point_curve_shape(four_curve):
@@ -107,18 +104,18 @@ def _random_curves(count: int):
 
 
 def _assert_legs_stay_on_their_edges(curve):
-    L = curve.polynomial
+    poly = curve.polygon
     for leg in curve.legs:
         alpha, beta = leg.dual_edge
         # the terms tied along the leg: those of the edge [alpha, beta] that
         # already tie at the base vertex
         edge_ties = tuple(
-            q for q in eval_tropical(L, leg.base)[1] if _on_segment(q, alpha, beta)
+            q for q in eval_tropical(poly, leg.base)[1] if _on_segment(q, alpha, beta)
         )
         assert alpha in edge_ties and beta in edge_ties
         for t in (Fraction(1, 3), 1, 7, 100):
             p = (leg.base[0] + t * leg.direction[0], leg.base[1] + t * leg.direction[1])
-            value, argmax = eval_tropical(L, p)
+            value, argmax = eval_tropical(poly, p)
             assert argmax == edge_ties
             # the tie equation r_{alpha-beta} = nu(alpha) - nu(beta)
             d = (alpha[0] - beta[0], alpha[1] - beta[1])
@@ -141,7 +138,7 @@ def test_leg_ray_stays_in_two_term_locus(four_curve):
 def test_vertex_argmax_is_dual_cell(four_curve):
     tri = four_curve.triangulation
     for cell, v in zip(tri.cells, four_curve.vertices):
-        _, argmax = eval_tropical(four_curve.polynomial, v)
+        _, argmax = eval_tropical(four_curve.polygon, v)
         assert set(argmax) == {tri.points[i] for i in cell}
 
 
@@ -150,7 +147,7 @@ def test_bounded_edge_midpoint_argmax(four_curve):
         a = four_curve.vertices[be.v[0]]
         b = four_curve.vertices[be.v[1]]
         mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
-        _, argmax = eval_tropical(four_curve.polynomial, mid)
+        _, argmax = eval_tropical(four_curve.polygon, mid)
         assert argmax == tuple(sorted(be.dual_edge))
 
 
@@ -193,7 +190,7 @@ def test_flat_triangle_legs_tie_with_unused_edge_points():
         alpha, beta = leg.dual_edge
         mid = ((alpha[0] + beta[0]) // 2, (alpha[1] + beta[1]) // 2)
         p = (leg.base[0] + leg.direction[0], leg.base[1] + leg.direction[1])
-        assert eval_tropical(curve.polynomial, p)[1] == tuple(sorted((alpha, mid, beta)))
+        assert eval_tropical(curve.polygon, p)[1] == tuple(sorted((alpha, mid, beta)))
 
 
 def test_chamber_of_examples(four_point):
@@ -210,7 +207,7 @@ def test_chambers_realized(four_point, four_point_tri):
     # chamber of a dropped vertex is empty: with nu(0,0) = +1/4 the origin
     # chamber vanishes
     plus = HeightedPolygon.create(FOUR_POINTS, {(0, 0): Fraction(1, 4)})
-    dead = Chamber(label=(0, 0), polynomial=TropicalPolynomial.from_polygon(plus))
+    dead = Chamber(label=(0, 0), polygon=plus)
     for x in range(-6, 7):
         for y in range(-6, 7):
             assert not dead.contains((Fraction(x, 2), Fraction(y, 2)))
@@ -250,8 +247,7 @@ def test_compact_part_and_bbox(four_curve):
 def test_eval_matches_bruteforce_and_chamber(num1, num2, den):
     poly = HeightedPolygon.create(FOUR_POINTS, (Fraction(-1, 4), 0, 0, 0))
     n = (Fraction(num1, den), Fraction(num2, den))
-    L = TropicalPolynomial.from_polygon(poly)
-    value, argmax = eval_tropical(L, n)
+    value, argmax = eval_tropical(poly, n)
     vals = {a: n[0] * a[0] + n[1] * a[1] - h for a, h in zip(poly.points, poly.heights)}
     assert value == max(vals.values())
     assert set(argmax) == {a for a, v in vals.items() if v == value}
