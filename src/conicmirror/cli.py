@@ -1,7 +1,8 @@
 """Command-line front end: parse inputs, dispatch, emit JSON/CSV/SVG.
 
 Exit codes: 0 on success, 2 on schema violations (malformed input files or
-options), 3 on domain errors (the error class name goes to standard error).
+options; argparse's usage errors exit 2 as well), 3 on domain errors (the
+error class name goes to standard error).
 Outputs are deterministic: identical inputs produce byte-identical files.
 The acceptance command runs the full criteria suite and exits 1 on failure.
 """
@@ -13,7 +14,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 
 from . import __version__
@@ -60,40 +60,15 @@ from .theta_ring import theta_multiply, verify_mirror_iso
 from .tropical_curves import chambers, tropical_curve
 
 
-@dataclass(frozen=True)
-class JobSpec:
-    """A validated unit of CLI work: command, paths, command-specific options."""
-
-    command: str
-    input_path: Optional[str] = None
-    output_path: Optional[str] = None
-    options: Mapping[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self):
-        command = COMMANDS.get(self.command)
-        if command is None:
-            raise SchemaError(f"unknown command {self.command!r}")
-        if command.takes_input and not self.input_path:
-            raise SchemaError(f"{self.command} requires --in")
-        for flag in command.required:
-            if self.options.get(_key(flag)) is None:
-                raise SchemaError(f"{self.command} requires {flag}")
-
-
 class Command(NamedTuple):
     """A CLI command: its handler, its option flags in --help order, the
     flags it cannot run without, and whether it reads an --in file. A
     NamedTuple, as a dataclass would add about 1 ms to every cold start."""
 
-    handler: Callable[[JobSpec], int]
+    handler: Callable[[argparse.Namespace], int]
     flags: tuple[str, ...] = ()
     required: tuple[str, ...] = ()
     takes_input: bool = True
-
-
-def _key(flag: str) -> str:
-    """The option key of a flag, as argparse names its dest: --eps-loc -> eps_loc."""
-    return flag[2:].replace("-", "_")
 
 
 def _load_json(path: str) -> Any:
@@ -121,7 +96,14 @@ def _polygon_of(data: Any, where: str):
     raise SchemaError(f"{where}: expected a polygon (points/heights)")
 
 
-def _parse_grid(text: str) -> tuple[int, int]:
+# The --grid, --viewport and --sublattice values are parsed by these argparse
+# types. A bad value raises SchemaError, which argparse does not catch, so main
+# reports it as a schema error; an empty value counts as not given.
+
+
+def _parse_grid(text: str) -> Optional[tuple[int, int]]:
+    if not text:
+        return None
     try:
         a, b = text.lower().split("x")
         grid = (int(a), int(b))
@@ -152,7 +134,9 @@ def _check_grid_work(poly, grid: tuple[int, int]) -> None:
         )
 
 
-def _parse_viewport(text: str) -> tuple[tuple[float, float], tuple[float, float]]:
+def _parse_viewport(text: str) -> Optional[tuple[tuple[float, float], tuple[float, float]]]:
+    if not text:
+        return None
     try:
         x0, y0, x1, y1 = (float(v) for v in text.split(","))
     except ValueError as exc:
@@ -167,28 +151,30 @@ def _parse_viewport(text: str) -> tuple[tuple[float, float], tuple[float, float]
 
 
 def _parse_sublattice(text: str) -> Any:
+    if not text:
+        return None
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise SchemaError(f"--sublattice is not valid JSON: {exc}") from exc
 
 
-def _emit(spec: JobSpec, text: str) -> None:
-    if not spec.output_path:
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if not args.output_path:
         sys.stdout.write(text)
         return
     try:
-        with open(spec.output_path, "w", encoding="utf-8") as f:
+        with open(args.output_path, "w", encoding="utf-8") as f:
             f.write(text)
     except OSError as exc:
-        raise SchemaError(f"cannot write {spec.output_path}: {exc}") from exc
+        raise SchemaError(f"cannot write {args.output_path}: {exc}") from exc
 
 
 # ------------------------------------------------------------- commands
 
 
-def _cmd_triangulate(spec: JobSpec) -> int:
-    poly = _polygon_of(_load_json(spec.input_path), "input")
+def _cmd_triangulate(args: argparse.Namespace) -> int:
+    poly = _polygon_of(_load_json(args.input_path), "input")
     tri = regular_triangulation(poly)
     payload = envelope(
         "triangulation",
@@ -198,12 +184,12 @@ def _cmd_triangulate(spec: JobSpec) -> int:
             "unimodular": is_unimodular(tri),
         },
     )
-    _emit(spec, canonical_json(payload))
+    _emit(args, canonical_json(payload))
     return 0
 
 
-def _cmd_tropical(spec: JobSpec) -> int:
-    poly = _polygon_of(_load_json(spec.input_path), "input")
+def _cmd_tropical(args: argparse.Namespace) -> int:
+    poly = _polygon_of(_load_json(args.input_path), "input")
     tri = regular_triangulation(poly)
     curve = tropical_curve(poly, tri)
     payload = envelope(
@@ -214,73 +200,67 @@ def _cmd_tropical(spec: JobSpec) -> int:
             "chambers": [list(ch.label) for ch in chambers(poly, tri)],
         },
     )
-    _emit(spec, canonical_json(payload))
+    _emit(args, canonical_json(payload))
     return 0
 
 
-def _params_from(spec: JobSpec) -> PatchworkParams:
-    t = spec.options.get("t")
-    eps = spec.options.get("eps_loc")
-    if eps is None:
-        eps = 0.05
+def _params_from(args: argparse.Namespace) -> PatchworkParams:
     try:
-        return PatchworkParams(t=float(t), epsilon_loc=float(eps))
+        return PatchworkParams(t=args.t, epsilon_loc=args.eps_loc)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
 
-def _cmd_amoeba(spec: JobSpec) -> int:
-    poly = _polygon_of(_load_json(spec.input_path), "input")
-    params = _params_from(spec)
-    grid = spec.options.get("grid") or (200, 64)
+def _cmd_amoeba(args: argparse.Namespace) -> int:
+    poly = _polygon_of(_load_json(args.input_path), "input")
+    params = _params_from(args)
+    grid = args.grid or (200, 64)
     _check_grid_work(poly, grid)
-    viewport = spec.options.get("viewport")
+    viewport = args.viewport
     curve = None
     if viewport is None:
         curve = tropical_curve(poly, regular_triangulation(poly))
     cloud = amoeba_sample(poly, params, grid=grid, viewport=viewport, curve=curve)
-    if spec.output_path and spec.output_path.endswith(".csv"):
-        _emit(spec, cloud_to_csv(cloud))
+    if args.output_path and args.output_path.endswith(".csv"):
+        _emit(args, cloud_to_csv(cloud))
         return 0
     payload = envelope(
         "amoeba",
         {"t": params.t, "grid": list(grid), "cloud": cloud_to_json(cloud)},
     )
-    _emit(spec, canonical_json(payload))
+    _emit(args, canonical_json(payload))
     return 0
 
 
-def _cmd_product(spec: JobSpec) -> int:
+def _cmd_product(args: argparse.Namespace) -> int:
     """ring-mul and theta-mul: the element format and payload kind follow the
     command; theta_multiply is the mirror kernel under the theta layer's name."""
-    if spec.command == "theta-mul":
+    if args.command == "theta-mul":
         from_json, multiply, to_json = theta_element_from_json, theta_multiply, theta_element_to_json
         kind = "theta_product"
     else:
         from_json, multiply, to_json = mirror_element_from_json, mirror_multiply, mirror_element_to_json
         kind = "ring_product"
-    data = _require_object(_load_json(spec.input_path), "input")
+    data = _require_object(_load_json(args.input_path), "input")
     poly = _polygon_of(data, "input")
     if "x" not in data or "y" not in data:
-        raise SchemaError(f"{spec.command} input needs x and y elements")
+        raise SchemaError(f"{args.command} input needs x and y elements")
     x = from_json(data["x"], "input.x")
     y = from_json(data["y"], "input.y")
     poly.require_full_dimensional()
     product = multiply(poly, x, y)
-    _emit(spec, canonical_json(envelope(kind, {"product": to_json(product)})))
+    _emit(args, canonical_json(envelope(kind, {"product": to_json(product)})))
     return 0
 
 
-def _cmd_verify_mirror(spec: JobSpec) -> int:
-    poly = _polygon_of(_load_json(spec.input_path), "input")
+def _cmd_verify_mirror(args: argparse.Namespace) -> int:
+    poly = _polygon_of(_load_json(args.input_path), "input")
     try:
-        report = verify_mirror_iso(
-            poly, int(spec.options["bound_n"]), int(spec.options["bound_i"])
-        )
+        report = verify_mirror_iso(poly, args.bound_n, args.bound_i)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
     # the report file is written first, so a bad --out prints no summary
-    if spec.output_path:
+    if args.output_path:
         payload = envelope(
             "mirror_verification",
             {
@@ -293,18 +273,17 @@ def _cmd_verify_mirror(spec: JobSpec) -> int:
                 "ok": report.ok,
             },
         )
-        _emit(spec, canonical_json(payload))
+        _emit(args, canonical_json(payload))
     print(f"failures: {len(report.failures)}")
     return 0
 
 
-def _cmd_sections(spec: JobSpec) -> int:
-    poly = _polygon_of(_load_json(spec.input_path), "input")
+def _cmd_sections(args: argparse.Namespace) -> int:
+    poly = _polygon_of(_load_json(args.input_path), "input")
     tri = regular_triangulation(poly)
-    box = int(spec.options["box"])
-    if box < 0:
+    if args.box < 0:
         raise SchemaError("--box must be >= 0")
-    report = classification_report(tri, box)
+    report = classification_report(tri, args.box)
     payload = envelope(
         "sections",
         {
@@ -320,14 +299,14 @@ def _cmd_sections(spec: JobSpec) -> int:
             ],
         },
     )
-    _emit(spec, canonical_json(payload))
+    _emit(args, canonical_json(payload))
     return 0
 
 
-def _cmd_mckay(spec: JobSpec) -> int:
-    data = _require_object(_load_json(spec.input_path), "input")
+def _cmd_mckay(args: argparse.Namespace) -> int:
+    data = _require_object(_load_json(args.input_path), "input")
     poly = _polygon_of(data, "input")
-    sub_data = spec.options.get("sublattice")
+    sub_data = args.sublattice
     if sub_data is None:
         if "sublattice" not in data:
             raise SchemaError("mckay needs a sublattice (input file or --sublattice)")
@@ -353,18 +332,18 @@ def _cmd_mckay(spec: JobSpec) -> int:
             f"{g[0]},{g[1]}": theta_element_to_json(piece)
             for g, piece in character_decomposition(sub, element).items()
         }
-    _emit(spec, canonical_json(envelope("mckay", body)))
+    _emit(args, canonical_json(envelope("mckay", body)))
     return 0
 
 
-def _cmd_moment(spec: JobSpec) -> int:
-    data = _require_object(_load_json(spec.input_path), "input")
+def _cmd_moment(args: argparse.Namespace) -> int:
+    data = _require_object(_load_json(args.input_path), "input")
     for key in ("chi", "abs_u", "abs_h"):
         if key not in data:
             raise SchemaError(f"moment input needs {key!r}")
     try:
         params = MomentParams(
-            epsilon_blowup=float(spec.options["eps_blowup"]), chi=float(data["chi"])
+            epsilon_blowup=args.eps_blowup, chi=float(data["chi"])
         )
         detail = moment_map_detail(params, float(data["abs_u"]), float(data["abs_h"]))
     except (TypeError, ValueError) as exc:
@@ -382,32 +361,32 @@ def _cmd_moment(spec: JobSpec) -> int:
             "at_singular_level": detail.at_singular_level,
         },
     )
-    _emit(spec, canonical_json(payload))
+    _emit(args, canonical_json(payload))
     return 0
 
 
-def _cmd_plot(spec: JobSpec) -> int:
-    poly = _polygon_of(_load_json(spec.input_path), "input")
+def _cmd_plot(args: argparse.Namespace) -> int:
+    poly = _polygon_of(_load_json(args.input_path), "input")
     tri = regular_triangulation(poly)
     curve = tropical_curve(poly, tri)
-    viewport = spec.options.get("viewport") or default_viewport(curve)
+    viewport = args.viewport or default_viewport(curve)
     cloud = None
-    if spec.options.get("overlay") == "amoeba":
-        if spec.options.get("t") is None:
+    if args.overlay == "amoeba":
+        if args.t is None:
             raise SchemaError("plot --overlay amoeba requires --t")
-        params = _params_from(spec)
-        grid = spec.options.get("grid") or (120, 32)
+        params = _params_from(args)
+        grid = args.grid or (120, 32)
         _check_grid_work(poly, grid)
         cloud = amoeba_sample(poly, params, grid=grid, viewport=viewport)
-    _emit(spec, plot_svg(curve, viewport, cloud=cloud))
+    _emit(args, plot_svg(curve, viewport, cloud=cloud))
     return 0
 
 
-def _cmd_acceptance(spec: JobSpec) -> int:
+def _cmd_acceptance(args: argparse.Namespace) -> int:
     from .acceptance import run_all
 
-    results = run_all(seed=int(spec.options.get("seed") or 0))
-    if spec.output_path:
+    results = run_all(seed=args.seed or 0)
+    if args.output_path:
         payload = envelope(
             "acceptance",
             {
@@ -418,7 +397,7 @@ def _cmd_acceptance(spec: JobSpec) -> int:
                 "ok": all(r.passed for r in results),
             },
         )
-        _emit(spec, canonical_json(payload))
+        _emit(args, canonical_json(payload))
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status} {r.name}: {r.detail}")
@@ -446,37 +425,17 @@ COMMANDS = {
 # argparse keywords of every option flag
 _FLAGS = {
     "--t": {"type": float},
-    "--eps-loc": {"type": float},
+    "--eps-loc": {"type": float, "default": 0.05},
     "--eps-blowup": {"type": float},
     "--bound-n": {"type": int},
     "--bound-i": {"type": int},
     "--box": {"type": int},
-    "--sublattice": {},
-    "--grid": {},
-    "--viewport": {},
+    "--sublattice": {"type": _parse_sublattice},
+    "--grid": {"type": _parse_grid},
+    "--viewport": {"type": _parse_viewport},
     "--seed": {"type": int},
     "--overlay": {"choices": ["amoeba"]},
 }
-
-# string flags parsed after argparse, so that a bad value is a SchemaError;
-# an empty value counts as not given
-_PARSE = {
-    "--grid": _parse_grid,
-    "--viewport": _parse_viewport,
-    "--sublattice": _parse_sublattice,
-}
-
-
-def run(spec: JobSpec) -> int:
-    """Execute a validated job; exit code semantics as in the module docstring."""
-    try:
-        return COMMANDS[spec.command].handler(spec)
-    except SchemaError as exc:
-        print(f"SchemaError: {exc}", file=sys.stderr)
-        return 2
-    except ConicMirrorError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -490,26 +449,11 @@ def build_parser() -> argparse.ArgumentParser:
     for name, command in COMMANDS.items():
         p = sub.add_parser(name)
         if command.takes_input:
-            p.add_argument("--in", dest="input_path")
+            p.add_argument("--in", dest="input_path", required=True)
         p.add_argument("--out", dest="output_path")
         for flag in command.flags:
-            p.add_argument(flag, **_FLAGS[flag])
+            p.add_argument(flag, required=flag in command.required, **_FLAGS[flag])
     return parser
-
-
-def spec_from_args(args: argparse.Namespace) -> JobSpec:
-    options: dict[str, Any] = {}
-    for flag in COMMANDS[args.command].flags:
-        value = getattr(args, _key(flag))
-        if flag in _PARSE:
-            value = _PARSE[flag](value) if value else None
-        options[_key(flag)] = value
-    return JobSpec(
-        command=args.command,
-        input_path=getattr(args, "input_path", None),
-        output_path=getattr(args, "output_path", None),
-        options=options,
-    )
 
 
 @functools.cache
@@ -520,19 +464,22 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Parse argv and run its command; exit codes as in the module docstring."""
     argv = list(sys.argv[1:] if argv is None else argv)
     # argparse takes a separate value that starts with '-', as -2,-2,2,2 does,
     # for an option: join each --viewport to the token after it
     for i in reversed(range(len(argv) - 1)):
         if argv[i] == "--viewport":
             argv[i:i + 2] = [f"--viewport={argv[i + 1]}"]
-    args = _parser().parse_args(argv)
     try:
-        spec = spec_from_args(args)
+        args = _parser().parse_args(argv)
+        return COMMANDS[args.command].handler(args)
     except SchemaError as exc:
         print(f"SchemaError: {exc}", file=sys.stderr)
         return 2
-    return run(spec)
+    except ConicMirrorError as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

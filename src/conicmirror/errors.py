@@ -58,3 +58,12 @@ class RootFindingFailure(ConicMirrorError):
 
 class UndefinedAtOrigin(ConicMirrorError):
     """The moment map has no limit at |u| = |h| = 0 in the chi = 1 branch."""
+
+
+class FloatRangeError(ConicMirrorError):
+    """An exact value is past the range or the precision of floats, so a float
+    command cannot use it."""
+
+
+class DigitLimitError(ConicMirrorError):
+    """An exact value has more digits than Python converts to a string."""

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .errors import RootFindingFailure, UndefinedAtOrigin
+from .errors import FloatRangeError, RootFindingFailure, UndefinedAtOrigin
 from .lattice_geometry import HeightedPolygon, Point, _exgcd, primitivize, vsub
 from .tropical_curves import Leg, TropicalCurve
 
@@ -27,6 +27,16 @@ RealPoint = tuple[float, float]
 Viewport = tuple[RealPoint, RealPoint]  # ((xlo, ylo), (xhi, yhi))
 
 _BIG = 1e30
+
+
+def to_float(x) -> float:
+    """float(x) of an exact int or Fraction, raising FloatRangeError, which
+    names the size of x, where float() raises OverflowError."""
+    try:
+        return float(x)
+    except OverflowError as exc:
+        size = math.floor(math.log10(abs(x.numerator)) - math.log10(x.denominator))
+        raise FloatRangeError(f"exact value of about 10^{size} is past the float range") from exc
 
 
 @dataclass(frozen=True)
@@ -307,10 +317,16 @@ class AmoebaCloud:
 def default_viewport(curve: TropicalCurve) -> Viewport:
     """Twice the bounding box of the compact part, padded by 3 units."""
     (xlo, ylo), (xhi, yhi) = curve.bounding_box()
-    cx, cy = (float(xlo + xhi) / 2.0, float(ylo + yhi) / 2.0)
-    hx = float(xhi - xlo) + 3.0
-    hy = float(yhi - ylo) + 3.0
-    return ((cx - hx, cy - hy), (cx + hx, cy + hy))
+    cx, cy = (to_float(xlo + xhi) / 2.0, to_float(ylo + yhi) / 2.0)
+    hx = to_float(xhi - xlo) + 3.0
+    hy = to_float(yhi - ylo) + 3.0
+    lo, hi = (cx - hx, cy - hy), (cx + hx, cy + hy)
+    widths = (hi[0] - lo[0], hi[1] - lo[1])
+    if not (all(math.isfinite(v) for v in (*lo, *hi, *widths)) and min(widths) > 0.0):
+        raise FloatRangeError(
+            f"default viewport {lo}, {hi} has no finite positive size in floats"
+        )
+    return (lo, hi)
 
 
 def _cmul(ar, ai, br, bi):
@@ -491,7 +507,7 @@ def _clip_segment_to_rect(
 def _clipped_edges(curve: TropicalCurve, vp: Viewport) -> list[tuple[RealPoint, RealPoint]]:
     """The bounded edges inside the viewport, clipped; zero length kept."""
     segments: list[tuple[RealPoint, RealPoint]] = []
-    verts = [(float(v[0]), float(v[1])) for v in curve.vertices]
+    verts = [(to_float(v[0]), to_float(v[1])) for v in curve.vertices]
     for be in curve.bounded_edges:
         p = verts[be.v[0]]
         q = verts[be.v[1]]
@@ -509,8 +525,8 @@ def _clipped_legs(curve: TropicalCurve, vp: Viewport) -> list[tuple[RealPoint, R
     """The legs inside the viewport, clipped; zero length dropped."""
     segments: list[tuple[RealPoint, RealPoint]] = []
     for leg in curve.legs:
-        p = (float(leg.base[0]), float(leg.base[1]))
-        d = (float(leg.direction[0]), float(leg.direction[1]))
+        p = (to_float(leg.base[0]), to_float(leg.base[1]))
+        d = (to_float(leg.direction[0]), to_float(leg.direction[1]))
         rng = _clip_segment_to_rect(p, d, 0.0, _BIG, vp)
         if rng is not None:
             s0, s1 = rng

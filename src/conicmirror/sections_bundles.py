@@ -113,15 +113,17 @@ def check_section(tri: Triangulation, s: FramedSection) -> bool:
 
 
 def degree_vector(tri: Triangulation, s: FramedSection) -> LineBundleClass:
-    """d_tau = <n_sigma - n_sigma', (beta - alpha)^perp> per interior edge."""
-    if not check_section(tri, s):
-        raise InvalidSection("section violates an interior-edge constraint")
+    """d_tau = <n_sigma - n_sigma', (beta - alpha)^perp> per interior edge;
+    InvalidSection where check_section would be False."""
+    _require_cells_match(tri, s)
     degrees = {}
     for e_id, e in enumerate(tri.edges):
         if not e.interior:
             continue
         sigma, sigma_p, alpha, beta = _edge_frame(tri, e)
         jump = vsub(s[sigma], s[sigma_p])
+        if pairing(jump, vsub(alpha, beta)) != 0:
+            raise InvalidSection("section violates an interior-edge constraint")
         degrees[e_id] = pairing(jump, perp(vsub(beta, alpha)))
     return LineBundleClass(degrees)
 

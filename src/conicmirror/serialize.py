@@ -9,11 +9,13 @@ byte-identical across runs.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from fractions import Fraction
 from typing import Any, Mapping, Optional
 
 from . import __version__
-from .errors import SchemaError
+from .errors import DigitLimitError, SchemaError
 from .lattice_geometry import HeightedPolygon, Triangulation, as_fraction
 from .mckay_covers import CoverAlgebraElement, Sublattice
 from .mirror_ring import MirrorElement
@@ -23,8 +25,30 @@ from .theta_ring import ThetaElement
 from .tropical_curves import TropicalCurve
 
 
+def _decimal_digits(n: int) -> int:
+    """Digits of the integer n != 0, counted without converting it to a string:
+    a b-bit integer has d or d + 1 digits, d = floor((b - 1) log10 2) + 1."""
+    n = abs(n)
+    d = int((n.bit_length() - 1) * math.log10(2)) + 1
+    return d + (n >= 10**d)
+
+
 def rational_str(x: Fraction) -> str:
-    return str(Fraction(x))
+    """x as "p/q" (or "p"); DigitLimitError past Python's digit limit for
+    integer strings, which str() would meet with ValueError."""
+    x = Fraction(x)
+    limit = sys.get_int_max_str_digits()
+    # a b-bit integer has at most 0.302 b + 1 digits, so at most 3 * limit
+    # bits never pass the limit
+    if limit and max(x.numerator.bit_length(), x.denominator.bit_length()) > 3 * limit:
+        for part, name in ((x.numerator, "numerator"), (x.denominator, "denominator")):
+            digits = _decimal_digits(part)
+            if digits > limit:
+                raise DigitLimitError(
+                    f"a rational's {name} has {digits} digits, past the limit of "
+                    f"{limit} for integer strings"
+                )
+    return str(x)
 
 
 def parse_rational(value: Any, where: str) -> Fraction:
@@ -283,7 +307,7 @@ def plot_svg(
     class "leg" so they are countable in the output. Amoeba points render
     as a translucent cloud under the curve.
     """
-    from .numerics import _clipped_edges, _clipped_legs
+    from .numerics import _clipped_edges, _clipped_legs, to_float
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" height="{SVG_SIZE}" '
@@ -311,7 +335,7 @@ def plot_svg(
                 f'<line class="{cls}" x1="{a[0]:.2f}" y1="{a[1]:.2f}" '
                 f'x2="{b[0]:.2f}" y2="{b[1]:.2f}" stroke="{color}" stroke-width="2"/>'
             )
-    verts = [(float(v[0]), float(v[1])) for v in curve.vertices]
+    verts = [(to_float(v[0]), to_float(v[1])) for v in curve.vertices]
     for v in verts:
         x, y = _svg_coords(v, viewport)
         parts.append(

@@ -11,8 +11,7 @@ from pathlib import Path
 import pytest
 
 from conicmirror import cli
-from conicmirror.cli import JobSpec, main
-from conicmirror.errors import SchemaError
+from conicmirror.cli import main
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -50,21 +49,31 @@ def four_point_path(tmp_path):
 
 
 class TestJobSpec:
-    def test_unknown_command_rejected(self):
-        with pytest.raises(SchemaError):
-            JobSpec(command="frobnicate")
+    """The job is the parsed command line: argparse rejects a command it does
+    not know and a missing --in or required flag, with exit code 2."""
 
-    def test_missing_input_rejected(self):
-        with pytest.raises(SchemaError):
-            JobSpec(command="triangulate")
+    def _usage_error(self, argv, capsys) -> str:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("usage: conic-mirror")
+        return out.err.splitlines()[-1]
 
-    def test_missing_required_option_rejected(self):
-        with pytest.raises(SchemaError):
-            JobSpec(command="verify-mirror", input_path="x.json", options={})
+    def test_unknown_command_rejected(self, capsys):
+        assert "invalid choice: 'frobnicate'" in self._usage_error(["frobnicate"], capsys)
+
+    def test_missing_input_rejected(self, capsys):
+        message = self._usage_error(["triangulate"], capsys)
+        assert message.endswith("the following arguments are required: --in")
+
+    def test_missing_required_option_rejected(self, simplex_path, capsys):
+        message = self._usage_error(["verify-mirror", "--in", simplex_path, "--bound-i", "0"], capsys)
+        assert message.endswith("the following arguments are required: --bound-n")
 
     def test_acceptance_needs_no_input(self):
-        spec = JobSpec(command="acceptance")
-        assert spec.input_path is None
+        args = cli._parser().parse_args(["acceptance"])
+        assert args.command == "acceptance" and "input_path" not in vars(args)
 
 
 class TestTriangulate:
@@ -154,6 +163,22 @@ class TestJsonBoundary:
         code = main(command + ["--in", str(path)])
         assert time.perf_counter() - start < 1.0
         _assert_one_schema_error(code, capsys)
+
+    @pytest.mark.parametrize("command", ["triangulate", "tropical"])
+    def test_rational_past_digit_limit_exits_3(self, tmp_path, capsys, command):
+        # a valid height whose numerator Python will not print
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"points": SIMPLEX["points"], "heights": ["1e4300", "0", "0"]}))
+        start = time.perf_counter()
+        code = main([command, "--in", str(path)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (
+            "DigitLimitError: a rational's numerator has 4301 digits, "
+            "past the limit of 4300 for integer strings\n"
+        )
 
 
 class TestTropical:
@@ -465,6 +490,28 @@ class TestAmoeba:
         assert out.err.startswith("RootFindingFailure: line coefficients at t = 1e+300")
         assert "Traceback" not in out.err
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            # a curve vertex past the float range; tropical exits 0 on it
+            ({"points": [[0, 0], [1, 0], [0, 1], [1, 1]], "heights": ["1e400", "0", "0", "0"]},
+             "exact value of about 10^400 is past the float range"),
+            # a vertex in range, but the padding is below its float precision
+            ({"points": SIMPLEX["points"], "heights": ["8e307", "0", "0"]},
+             "default viewport (-8e+307, -8e+307), (-8e+307, -8e+307) has no finite positive "
+             "size in floats"),
+        ],
+        ids=["vertex_past_range", "padding_below_precision"],
+    )
+    @pytest.mark.parametrize("command", [["plot"], ["amoeba", "--t", "10"]])
+    def test_curve_past_float_range_exits_3(self, tmp_path, capsys, command, body, message):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(body))
+        assert main(command + ["--in", str(path)]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"FloatRangeError: {message}\n"
+
     def test_overflow_is_not_reported_as_numpy_warnings(self):
         # a fresh process: numpy warns once per source line and process, and
         # the rows before the failing power overflow in the residual filter
@@ -590,6 +637,9 @@ class TestParserReuse:
              "--viewport", "-2,-2,2,2", "--eps-loc", "0.1", "--out", "cloud.csv"],
             ["amoeba", "--in", four, "--t", "54.598", "--grid", "12x4"],
             ["amoeba", "--in", simplex, "--t", "7.389"],
+            # an empty value counts as not given
+            ["amoeba", "--in", simplex, "--t", "7.389", "--grid", ""],
+            ["amoeba", "--in", four, "--t", "54.598", "--grid", "12x4", "--viewport="],
             ["ring-mul", "--in", jobs["ring"], "--out", "product.json"],
             ["theta-mul", "--in", jobs["theta"]],
             ["verify-mirror", "--in", simplex, "--bound-n", "1", "--bound-i", "0",
@@ -598,6 +648,7 @@ class TestParserReuse:
             ["sections", "--in", four, "--box", "1"],
             ["mckay", "--in", jobs["mckay"], "--sublattice", '{"basis": [[1, 0], [-1, 3]]}'],
             ["mckay", "--in", jobs["mckay"]],
+            ["mckay", "--in", jobs["mckay"], "--sublattice", ""],
             ["moment", "--in", jobs["moment"], "--eps-blowup", "0.3"],
             ["plot", "--in", four, "--t", "54.598", "--overlay", "amoeba",
              "--grid", "12x4", "--viewport", "-3,-3,3,3", "--out", "overlay.svg"],
@@ -606,6 +657,7 @@ class TestParserReuse:
             ["plot", "--in", simplex],
             # failures inside and outside argparse
             ["amoeba", "--in", simplex],
+            ["amoeba", "--in", simplex, "--t", "7.389", "--grid", "axb"],
             ["triangulate", "--in", four, "--no-such-flag"],
             ["acceptance", "--seed", "x"],
             ["--version"],
@@ -640,3 +692,18 @@ class TestParserReuse:
         bad_flag = ("triangulate", "--in", str(SAMPLES / "four_point.json"), "--no-such-flag")
         assert forward[bad_flag][0] == ("SystemExit", 2)
         assert forward[("acceptance", "--seed", "x")][0] == ("SystemExit", 2)
+        bad_grid = ("amoeba", "--in", str(SAMPLES / "simplex.json"), "--t", "7.389", "--grid", "axb")
+        assert forward[bad_grid][:3] == (2, "", "SchemaError: --grid must look like 200x64, got 'axb'\n")
+        # an empty --grid, --viewport or --sublattice counts as not given
+        four, simplex = str(SAMPLES / "four_point.json"), str(SAMPLES / "simplex.json")
+        mckay = next(argv for argv in calls if argv[0] == "mckay")[2]
+        for empty, given_nothing in [
+            (("amoeba", "--in", simplex, "--t", "7.389", "--grid", ""),
+             ("amoeba", "--in", simplex, "--t", "7.389")),
+            (("amoeba", "--in", four, "--t", "54.598", "--grid", "12x4", "--viewport="),
+             ("amoeba", "--in", four, "--t", "54.598", "--grid", "12x4")),
+            # the sublattice comes from the input file
+            (("mckay", "--in", mckay, "--sublattice", ""), ("mckay", "--in", mckay)),
+        ]:
+            assert forward[empty][0] == 0
+            assert forward[empty] == forward[given_nothing]

@@ -1,9 +1,11 @@
 """Static checks on the package source."""
 
 import ast
+import importlib
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "conicmirror"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "conicmirror"
 
 
 def test_no_unused_module_level_imports():
@@ -21,3 +23,21 @@ def test_no_unused_module_level_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_benchmark_tracer_names_exist():
+    # the benchmark's tracer wraps these by name; it is read, not imported
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    lists = {
+        node.target.id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+        and node.target.id in ("WRAPPED", "COUNTED")
+    }
+    assert set(lists) == {"WRAPPED", "COUNTED"}
+    missing = [
+        f"{module}.{name}"
+        for module, name in lists["WRAPPED"] + lists["COUNTED"]
+        if not callable(getattr(importlib.import_module(f"conicmirror.{module}"), name, None))
+    ]
+    assert missing == []
