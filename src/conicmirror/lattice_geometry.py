@@ -139,7 +139,10 @@ def convex_hull(points: Iterable[Point]) -> list[Point]:
 
 
 def hull_doubled_area(points: Iterable[Point]) -> int:
-    hull = convex_hull(points)
+    return _doubled_area_of_hull(convex_hull(points))
+
+
+def _doubled_area_of_hull(hull: Sequence[Point]) -> int:
     if len(hull) < 3:
         return 0
     s = 0
@@ -321,7 +324,8 @@ def build_triangulation(
         raise InconsistentInput("duplicate cells")
 
     total = sum(cell_doubled_area(pts, c) for c in norm_cells)
-    hull_area = hull_doubled_area(pts)
+    hull = convex_hull(pts)
+    hull_area = _doubled_area_of_hull(hull)
     if total != hull_area:
         raise InconsistentInput(
             f"cell areas sum to {total}, hull doubled area is {hull_area}"
@@ -331,8 +335,6 @@ def build_triangulation(
     for ci, c in enumerate(norm_cells):
         for u, v in ((c[0], c[1]), (c[0], c[2]), (c[1], c[2])):
             edge_cells.setdefault((u, v), []).append(ci)
-
-    hull = convex_hull(pts)
 
     def on_hull_boundary(a: Point, b: Point) -> bool:
         for i in range(len(hull)):
@@ -353,16 +355,18 @@ def build_triangulation(
             raise InconsistentInput(
                 f"edge {(u, v)} has one adjacent cell but is not on the boundary"
             )
-        # T-junction test: no used vertex strictly inside this edge
+        # T-junction test: no used vertex strictly inside this edge; an edge
+        # of lattice length 1 has no lattice point strictly inside it
         a, b = pts[u], pts[v]
-        for w in used:
-            if w in (u, v):
-                continue
-            r = pts[w]
-            if orient(a, b, r) == 0 and min(a, b) < r < max(a, b):
-                raise InconsistentInput(
-                    f"vertex {w} lies strictly inside edge {(u, v)}"
-                )
+        if math.gcd(b[0] - a[0], b[1] - a[1]) > 1:
+            for w in used:
+                if w in (u, v):
+                    continue
+                r = pts[w]
+                if orient(a, b, r) == 0 and min(a, b) < r < max(a, b):
+                    raise InconsistentInput(
+                        f"vertex {w} lies strictly inside edge {(u, v)}"
+                    )
         edges.append(Edge(v=(u, v), interior=interior, cells=tuple(adj)))
 
     return Triangulation(

@@ -93,22 +93,41 @@ def _require_cells_match(tri: Triangulation, s: FramedSection) -> None:
         )
 
 
-def _edge_frame(tri: Triangulation, e) -> tuple[int, int, Covector, Covector]:
-    """(sigma, sigma', alpha, beta) under the fixed orientation conventions."""
-    sigma, sigma_p = sorted(e.cells)
-    p, q = tri.edge_points(e)
-    alpha, beta = (p, q) if p < q else (q, p)
-    return sigma, sigma_p, alpha, beta
+def _degree_frames(tri: Triangulation) -> list[tuple[int, int, int, Covector, Covector]]:
+    """(edge id, sigma, sigma', alpha - beta, (beta - alpha)^perp) per interior
+    edge, under the fixed orientation conventions."""
+    frames = []
+    for e_id, e in enumerate(tri.edges):
+        if not e.interior:
+            continue
+        sigma, sigma_p = sorted(e.cells)
+        p, q = tri.edge_points(e)
+        alpha, beta = (p, q) if p < q else (q, p)
+        frames.append((e_id, sigma, sigma_p, vsub(alpha, beta), perp(vsub(beta, alpha))))
+    return frames
+
+
+def _degrees(frames, s: FramedSection) -> LineBundleClass:
+    """The degree vector of s over the given frames; InvalidSection where an
+    interior-edge constraint fails."""
+    values = s.values
+    degrees = {}
+    for e_id, sigma, sigma_p, (dx, dy), (px, py) in frames:
+        (x, y), (x_p, y_p) = values[sigma], values[sigma_p]
+        jx, jy = x - x_p, y - y_p
+        if jx * dx + jy * dy:
+            raise InvalidSection("section violates an interior-edge constraint")
+        degrees[e_id] = jx * px + jy * py
+    return LineBundleClass(degrees)
 
 
 def check_section(tri: Triangulation, s: FramedSection) -> bool:
     """True iff every interior-edge constraint <n_s - n_s', alpha - beta> = 0 holds."""
     _require_cells_match(tri, s)
-    for e in tri.interior_edges():
-        sigma, sigma_p, alpha, beta = _edge_frame(tri, e)
-        jump = vsub(s[sigma], s[sigma_p])
-        if pairing(jump, vsub(alpha, beta)) != 0:
-            return False
+    try:
+        _degrees(_degree_frames(tri), s)
+    except InvalidSection:
+        return False
     return True
 
 
@@ -116,16 +135,7 @@ def degree_vector(tri: Triangulation, s: FramedSection) -> LineBundleClass:
     """d_tau = <n_sigma - n_sigma', (beta - alpha)^perp> per interior edge;
     InvalidSection where check_section would be False."""
     _require_cells_match(tri, s)
-    degrees = {}
-    for e_id, e in enumerate(tri.edges):
-        if not e.interior:
-            continue
-        sigma, sigma_p, alpha, beta = _edge_frame(tri, e)
-        jump = vsub(s[sigma], s[sigma_p])
-        if pairing(jump, vsub(alpha, beta)) != 0:
-            raise InvalidSection("section violates an interior-edge constraint")
-        degrees[e_id] = pairing(jump, perp(vsub(beta, alpha)))
-    return LineBundleClass(degrees)
+    return _degrees(_degree_frames(tri), s)
 
 
 def shift_normalize(s: FramedSection) -> FramedSection:
@@ -214,7 +224,8 @@ class ClassificationReport:
 
 def classification_report(tri: Triangulation, box: int) -> ClassificationReport:
     classes = enumerate_sections(tri, box)
-    degs = [degree_vector(tri, s) for s in classes]
+    frames = _degree_frames(tri)
+    degs = [_degrees(frames, s) for s in classes]
     kernel = any(
         d.is_zero() and any(v != (0, 0) for v in s.values.values())
         for s, d in zip(classes, degs)

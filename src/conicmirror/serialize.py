@@ -8,10 +8,10 @@ byte-identical across runs.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any, Mapping, Optional
 
 from . import __version__
@@ -36,7 +36,8 @@ def _decimal_digits(n: int) -> int:
 def rational_str(x: Fraction) -> str:
     """x as "p/q" (or "p"); DigitLimitError past Python's digit limit for
     integer strings, which str() would meet with ValueError."""
-    x = Fraction(x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
     limit = sys.get_int_max_str_digits()
     # a b-bit integer has at most 0.302 b + 1 digits, so at most 3 * limit
     # bits never pass the limit
@@ -79,7 +80,71 @@ def envelope(kind: str, payload: Mapping[str, Any]) -> dict:
 
 
 def canonical_json(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """obj as the bytes of json.dumps(obj, sort_keys=True, indent=2,
+    allow_nan=False) plus a newline, except that every key must be a str.
+
+    json.dumps runs its pure-Python encoder whenever indent is set; this
+    writer builds one string per container and looks each leaf up by type.
+    """
+    return _json_value(obj, "") + "\n"
+
+
+def _json_int(n: int) -> str:
+    try:
+        return int.__repr__(n)
+    except ValueError:
+        raise DigitLimitError(
+            f"an integer has {_decimal_digits(n)} digits, past the limit of "
+            f"{sys.get_int_max_str_digits()} for integer strings"
+        ) from None
+
+
+def _json_float(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return float.__repr__(x)
+
+
+# leaf writers by exact type; subclasses go through _json_value's isinstance checks
+_JSON_LEAF = {
+    str: encode_basestring_ascii,
+    int: _json_int,
+    float: _json_float,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json_value(v: Any, pad: str) -> str:
+    leaf = _JSON_LEAF.get(type(v))
+    if leaf is not None:
+        return leaf(v)
+    inner = pad + "  "
+    get = _JSON_LEAF.get
+    parts = []
+    if isinstance(v, (list, tuple)):
+        if not v:
+            return "[]"
+        for x in v:
+            leaf = get(type(x))
+            parts.append(leaf(x) if leaf else _json_value(x, inner))
+        return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "]"
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        for k, x in sorted(v.items()):
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            leaf = get(type(x))
+            parts.append(
+                encode_basestring_ascii(k) + ": " + (leaf(x) if leaf else _json_value(x, inner))
+            )
+        return "{\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "}"
+    # subclasses of the leaf types; no class derives from two of these bases
+    for base in (str, int, float):
+        if isinstance(v, base):
+            return _JSON_LEAF[base](v)
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------- polygons

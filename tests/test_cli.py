@@ -1,5 +1,6 @@
 """Command-line contract: dispatch, schemas, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -179,6 +180,20 @@ class TestJsonBoundary:
             "DigitLimitError: a rational's numerator has 4301 digits, "
             "past the limit of 4300 for integer strings\n"
         )
+
+    def test_integer_past_digit_limit_exits_3(self, simplex_path, tmp_path, capsys):
+        # each basis entry loads and prints; |G| = 10^8000 does not print
+        out = tmp_path / "out.json"
+        sublattice = json.dumps({"basis": [[10**4000, 0], [0, 10**4000]]})
+        code = main(["mckay", "--in", simplex_path, "--sublattice", sublattice, "--out", str(out)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "DigitLimitError: an integer has 8001 digits, "
+            "past the limit of 4300 for integer strings\n"
+        )
+        assert not out.exists()
 
 
 class TestTropical:
@@ -707,3 +722,87 @@ class TestParserReuse:
         ]:
             assert forward[empty][0] == 0
             assert forward[empty] == forward[given_nothing]
+
+
+def _pinned_calls(tmp_path) -> dict:
+    """(sample, command) -> argv: the exact commands on both sample polygons,
+    with ring-mul, theta-mul and mckay jobs built on each polygon."""
+    terms_x = [{"n": [1, 0], "i": 0, "c": "5/7"}, {"n": [0, 1], "i": 1, "c": "-2"}]
+    terms_y = [{"n": [-1, -1], "i": 0, "c": "7/5"}, {"n": [1, 0], "i": 2, "c": "1/2"}]
+    # G = Z/3 for the basis below, and each n projects to (0, 1), so every
+    # entry has h = g + (0, 1)
+    cover_x = {"cover": True, "entries": [
+        {"g": [0, 0], "h": [0, 1], "n": [1, 0], "i": 0, "c": "1"},
+        {"g": [0, 2], "h": [0, 0], "n": [0, 1], "i": 1, "c": "-3/2"},
+    ]}
+    cover_y = {"cover": True, "entries": [
+        {"g": [0, 2], "h": [0, 0], "n": [0, 1], "i": 0, "c": "2"},
+        {"g": [0, 1], "h": [0, 2], "n": [-1, -1], "i": 0, "c": "1/3"},
+    ]}
+    calls = {}
+    for sample in ("four_point", "simplex"):
+        path = str(SAMPLES / f"{sample}.json")
+        poly = json.loads((SAMPLES / f"{sample}.json").read_text())
+        jobs = {
+            "ring-mul": {"polygon": poly, "x": terms_x, "y": terms_y},
+            "theta-mul": {
+                "polygon": poly,
+                "x": {"theta": True, "terms": terms_x},
+                "y": {"theta": True, "terms": terms_y},
+            },
+            "mckay": {
+                "polygon": poly,
+                "sublattice": {"basis": [[1, 0], [-1, 3]]},
+                "x": cover_x,
+                "y": cover_y,
+            },
+        }
+        for command, body in jobs.items():
+            job = tmp_path / f"{sample}-{command}.json"
+            job.write_text(json.dumps(body))
+            calls[sample, command] = [command, "--in", str(job)]
+        calls[sample, "triangulate"] = ["triangulate", "--in", path]
+        calls[sample, "tropical"] = ["tropical", "--in", path]
+        calls[sample, "sections"] = ["sections", "--in", path, "--box", "2"]
+        calls[sample, "verify-mirror"] = [
+            "verify-mirror", "--in", path, "--bound-n", "1", "--bound-i", "1",
+            "--out", str(tmp_path / f"{sample}-verify.json"),
+        ]
+    return calls
+
+
+def _pinned_digest(argv, capsys) -> str:
+    """sha256 of what argv writes: its --out file, if any, then its stdout."""
+    assert main(argv) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    if "--out" in argv:
+        out = Path(argv[argv.index("--out") + 1]).read_bytes() + out
+    return hashlib.sha256(out).hexdigest()
+
+
+class TestPinnedBytes:
+    """The exact commands' output bytes, pinned by sha256. A change to the
+    JSON writer, to a payload or to the version string shows here."""
+
+    DIGESTS = {
+        ("four_point", "mckay"): "12f41fc762ac6f56545d913240ff38112795d8e39b565a2ecbd8723c6c4e440b",
+        ("four_point", "ring-mul"): "80db6bdbc96a7715caf02865615e21e4d462b889dd6f59a700fe10ac9566e77a",
+        ("four_point", "sections"): "38bbafc0a8a6d1092306cbf5ce589aad330142590cbae98ddb65c7993f785402",
+        ("four_point", "theta-mul"): "545791161f84a1f46fa00c6504a1c0ab44de1f694f6667a38235120299deecbe",
+        ("four_point", "triangulate"): "594e85bd796e91fa0db3cb542023221e2a389abc8a707cc4f1d3d670e4b37d66",
+        ("four_point", "tropical"): "8f0101db701ce7af5c7e67301bd72921de5e9a4ead2b552fa8ddcbd50de21bed",
+        ("four_point", "verify-mirror"): "86ab5cedcc5ec15762d813a92aa9b7b8dc96e91082777857f5ce16e5e8d5713c",
+        ("simplex", "mckay"): "dbaf3302b12fc18afd7fc022f6023d369e689dfc8ad11596a9f218ced7691ad7",
+        ("simplex", "ring-mul"): "90d44b2101877090242594e6323271c6a135eea844a18de5e28f4cd5caf66cec",
+        ("simplex", "sections"): "42da622426723e6456802d486d09c26e6f52391cb4c654d3605e9d2b09ea2d6e",
+        ("simplex", "theta-mul"): "855a9fc49d157fc3747a30eaf31a36b3475543e5c16c6228894cc4e80f50ddf7",
+        ("simplex", "triangulate"): "f8aac65d73f6f4553507a384bb85b19a192a20bccfa6d28cc1170f40fd5e5591",
+        ("simplex", "tropical"): "84fca600d0161cd5e01c0be445c282f59cbcfb417d6f56c6209e2a98caa47b97",
+        ("simplex", "verify-mirror"): "86ab5cedcc5ec15762d813a92aa9b7b8dc96e91082777857f5ce16e5e8d5713c",
+    }
+
+    def test_outputs_match_pinned_digests(self, tmp_path, capsys):
+        calls = _pinned_calls(tmp_path)
+        assert sorted(calls) == sorted(self.DIGESTS)
+        digests = {key: _pinned_digest(argv, capsys) for key, argv in calls.items()}
+        assert digests == self.DIGESTS

@@ -272,6 +272,30 @@ def test_build_triangulation_rejects_bad_input():
         build_triangulation([(0, 0), (1, 0), (2, 0), (0, 1)], [(0, 1, 2), (0, 1, 3)])
 
 
+@pytest.mark.parametrize(
+    "points, cells, message",
+    [
+        # edge (0, 1) has lattice length 2, and the used vertex 2 = (1, 0) is its midpoint
+        (
+            [(0, 0), (2, 0), (1, 0), (0, 2), (2, 2)],
+            [(0, 1, 3), (2, 3, 4)],
+            "vertex 2 lies strictly inside edge (0, 1)",
+        ),
+        # two overlapping cells whose areas sum to the square's: the diagonal
+        # (0, 3) bounds one cell and is not on the hull
+        (
+            [(0, 0), (1, 0), (0, 1), (1, 1)],
+            [(0, 1, 3), (0, 1, 2)],
+            "edge (0, 3) has one adjacent cell but is not on the boundary",
+        ),
+    ],
+)
+def test_build_triangulation_edge_checks(points, cells, message):
+    with pytest.raises(InconsistentInput) as exc:
+        build_triangulation(points, cells)
+    assert str(exc.value) == message
+
+
 def test_heights_reject_floats():
     with pytest.raises(TypeError):
         HeightedPolygon.create([(0, 0), (1, 0), (0, 1)], [0.25, 0, 0])
