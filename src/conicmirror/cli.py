@@ -264,6 +264,7 @@ def _cmd_verify_mirror(args: argparse.Namespace) -> int:
         payload = envelope(
             "mirror_verification",
             {
+                "polygon": polygon_to_json(poly),
                 "bound_n": report.bound_n,
                 "bound_i": report.bound_i,
                 "pairs_checked": report.pairs_checked,

@@ -140,8 +140,9 @@ def _point_segment_distance(n: RealPoint, p: RealPoint, q: RealPoint) -> float:
 
 
 class _Chambers:
-    """Float data of the localization of one polygon at one t, built once per
-    public call: the heights nu(alpha) and the cutoff band (lo, hi)."""
+    """The localization table of one polygon at one t: the heights nu(alpha),
+    the cutoff band (lo, hi) and, per alpha on first use, the halfplanes of
+    its chamber and its scale t^-nu(alpha)."""
 
     def __init__(self, poly: HeightedPolygon, params: PatchworkParams):
         self.points = poly.points
@@ -152,55 +153,96 @@ class _Chambers:
         self.hi = eps * lt
         # half-width of the clipped square around n, comfortably above hi
         self.r = 8.0 * (1.0 + eps * lt)
+        self._halfplanes: dict[Point, list[tuple[float, float, float, float]]] = {}
+        self._scales: dict[Point, float] = {}
+
+    def halfplanes(self, alpha: Point) -> list[tuple[float, float, float, float]]:
+        """The rows (a, b, c, hypot(a, b)) of the halfplanes a*x + b*y >= c
+        whose intersection is the scaled chamber of alpha, one per other
+        point, in the order of the points."""
+        rows = self._halfplanes.get(alpha)
+        if rows is None:
+            lt, nu, nu_a = self.log_t, self.nu, self.nu[alpha]
+            rows = []
+            for beta in self.points:
+                if beta == alpha:
+                    continue
+                a, b = float(alpha[0] - beta[0]), float(alpha[1] - beta[1])
+                rows.append((a, b, lt * (nu_a - nu[beta]), math.hypot(a, b)))
+            self._halfplanes[alpha] = rows
+        return rows
+
+    def scale(self, alpha: Point) -> float:
+        """t^-nu(alpha), computed on first use: the scale of a term that no
+        evaluation reaches may overflow."""
+        scale = self._scales.get(alpha)
+        if scale is None:
+            scale = self._scales[alpha] = math.exp(-self.nu[alpha] * self.log_t)
+        return scale
 
     def distance(self, alpha: Point, n: RealPoint, cutoff: float = math.inf) -> float:
         """The distance from n to the chamber of alpha, by clipping. Returns
         cutoff, without clipping, once the distance to one violated halfplane
         (a lower bound) reaches it."""
-        lt, nu, nu_a = self.log_t, self.nu, self.nu[alpha]
-        halfplanes = []
+        rows = self.halfplanes(alpha)
+        x, y = n
         inside = True
-        for beta in self.points:
-            if beta == alpha:
-                continue
-            a, b = float(alpha[0] - beta[0]), float(alpha[1] - beta[1])
-            c = lt * (nu_a - nu[beta])
-            halfplanes.append((a, b, c))
-            g = a * n[0] + b * n[1] - c
+        for a, b, c, norm in rows:
+            g = a * x + b * y - c
             if g < 0.0:
                 inside = False
-                if -g >= cutoff * math.hypot(a, b):
+                if -g >= cutoff * norm:
                     return cutoff
         if inside:
             return 0.0
         r = self.r
         pts: list[RealPoint] = [
-            (n[0] - r, n[1] - r),
-            (n[0] + r, n[1] - r),
-            (n[0] + r, n[1] + r),
-            (n[0] - r, n[1] + r),
+            (x - r, y - r),
+            (x + r, y - r),
+            (x + r, y + r),
+            (x - r, y + r),
         ]
-        for a, b, c in halfplanes:
+        for a, b, c, _ in rows:
             pts = _clip_halfplane(pts, a, b, c)
             if not pts:
                 return math.inf
         if len(pts) == 1:
-            return math.hypot(n[0] - pts[0][0], n[1] - pts[0][1])
+            return math.hypot(x - pts[0][0], y - pts[0][1])
         return min(
             _point_segment_distance(n, pts[i], pts[(i + 1) % len(pts)])
             for i in range(len(pts))
         )
 
-    def phi(self, alpha: Point, n: RealPoint) -> float:
-        # the cutoff's margin over hi exceeds the clip's rounding error, so
-        # the clip would also have given a distance >= hi, and phi = 1
-        d = self.distance(alpha, n, self.hi * (1.0 + 1e-9) + 1e-12 * (abs(n[0]) + abs(n[1])))
+    def cutoff(self, n: RealPoint) -> float:
+        """phi's cutoff for distance: its margin over hi exceeds the clip's
+        rounding error, so the clip would also have given a distance >= hi,
+        and phi = 1."""
+        return self.hi * (1.0 + 1e-9) + 1e-12 * (abs(n[0]) + abs(n[1]))
+
+    def phi(self, alpha: Point, n: RealPoint, cutoff: float) -> float:
+        """phi_alpha at n, given self.cutoff(n)."""
+        d = self.distance(alpha, n, cutoff)
         lo, hi = self.lo, self.hi
         if d <= lo:
             return 0.0
         if d >= hi:
             return 1.0
         return smoothstep((d - lo) / (hi - lo))
+
+
+# The table of the last (polygon, params) pair asked for: leg_zero_samples
+# evaluates h_localized hundreds of times on one pair. Both are frozen, so
+# their identity keys the table; the entry is read and replaced as one tuple.
+_last_table: tuple = (None, None, None)
+
+
+def _table(poly: HeightedPolygon, params: PatchworkParams) -> _Chambers:
+    global _last_table
+    last_poly, last_params, table = _last_table
+    if last_poly is not poly or last_params is not params:
+        table = _Chambers(poly, params)
+        _last_table = (poly, params, table)
+    return table
 
 
 def _alpha_and_n(
@@ -225,7 +267,7 @@ def chamber_distance(
     the band where phi is already 1. Empty chambers give +inf.
     """
     alpha, n = _alpha_and_n(poly, alpha, n)
-    return _Chambers(poly, params).distance(alpha, n)
+    return _table(poly, params).distance(alpha, n)
 
 
 def phi_alpha(
@@ -240,7 +282,8 @@ def phi_alpha(
     gets 1 without clipping.
     """
     alpha, n = _alpha_and_n(poly, alpha, n)
-    return _Chambers(poly, params).phi(alpha, n)
+    table = _table(poly, params)
+    return table.phi(alpha, n, table.cutoff(n))
 
 
 def _require_nonzero(w: Sequence[complex]) -> tuple[complex, complex]:
@@ -253,18 +296,17 @@ def _require_nonzero(w: Sequence[complex]) -> tuple[complex, complex]:
 def _family(
     chambers: _Chambers, coefficients: Mapping[Point, complex], s: float, w: Sequence[complex]
 ) -> complex:
-    """h_ts on precomputed chambers; omitted coefficients are 1."""
+    """h_ts on a chamber table; omitted coefficients are 1."""
     w1, w2 = _require_nonzero(w)
     n = (math.log(abs(w1)), math.log(abs(w2)))
-    lt = chambers.log_t
+    cutoff = chambers.cutoff(n)
     total = 0.0 + 0.0j
     for alpha in chambers.points:
-        cut = 1.0 - s * chambers.phi(alpha, n) if s != 0.0 else 1.0
+        cut = 1.0 - s * chambers.phi(alpha, n, cutoff) if s != 0.0 else 1.0
         if cut == 0.0:
             continue
-        scale = math.exp(-chambers.nu[alpha] * lt)
         c = coefficients.get(alpha, 1.0 + 0.0j)
-        total += c * scale * cut * w1 ** alpha[0] * w2 ** alpha[1]
+        total += c * chambers.scale(alpha) * cut * w1 ** alpha[0] * w2 ** alpha[1]
     return total
 
 
@@ -276,7 +318,7 @@ def h_ts(
     At s = 0 this is the plain patchworking polynomial h_t; at s = 1 the
     tropical localization with the params coefficients.
     """
-    return _family(_Chambers(poly, params), params.coefficients or {}, s, w)
+    return _family(_table(poly, params), params.coefficients or {}, s, w)
 
 
 def h_t(poly: HeightedPolygon, params: PatchworkParams, w: Sequence[complex]) -> complex:
@@ -288,7 +330,7 @@ def h_localized(
     poly: HeightedPolygon, params: PatchworkParams, w: Sequence[complex]
 ) -> complex:
     """Tropical localization: the family at s = 1 with unit coefficients."""
-    return _family(_Chambers(poly, params), {}, 1.0, w)
+    return _family(_table(poly, params), {}, 1.0, w)
 
 
 def stratum_of(
@@ -300,9 +342,10 @@ def stratum_of(
     over a dense grid these realized sets are exactly the vertices, edges and
     cells of the adapted triangulation (the strata partition the plane).
     """
-    chambers = _Chambers(poly, params)
+    table = _table(poly, params)
     n = (float(n[0]), float(n[1]))
-    return tuple(sorted(alpha for alpha in poly.points if chambers.phi(alpha, n) != 1.0))
+    cutoff = table.cutoff(n)
+    return tuple(sorted(alpha for alpha in poly.points if table.phi(alpha, n, cutoff) != 1.0))
 
 
 @dataclass(frozen=True)
@@ -347,8 +390,10 @@ def _in_float_range(t: float):
         ) from exc
 
 
-def _block_roots(series: np.ndarray) -> list[Optional[np.ndarray]]:
-    """numpy roots of every row of a block of lines, None where it fails.
+def _block_roots(series: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """numpy roots of every row of a block of lines: all roots as one flat
+    array in line order, the line of each root, and the lines where numpy
+    roots fails.
 
     Rows whose companion matrix numpy roots builds at full size (degree at
     least 1, nonzero leading and trailing coefficient, finite coefficients)
@@ -357,29 +402,41 @@ def _block_roots(series: np.ndarray) -> list[Optional[np.ndarray]]:
     """
     import numpy as np
 
-    deg = series.shape[1] - 1
+    n_lines, deg = series.shape[0], series.shape[1] - 1
     stack = (deg > 0) & (series[:, 0] != 0) & (series[:, -1] != 0)
     stack &= np.isfinite(series).all(axis=1)
-    roots: list[Optional[np.ndarray]] = [None] * len(series)
+    stacked = np.empty((0, deg), dtype=complex)
     if stack.any():
         comp = np.zeros((int(stack.sum()), deg, deg), dtype=complex)
         comp[:, 1:, :-1] = np.eye(deg - 1)
         comp[:, 0, :] = -series[stack, 1:] / series[stack, :1]
         try:
-            for i, r in zip(np.flatnonzero(stack), np.linalg.eigvals(comp)):
-                roots[i] = r
+            stacked = np.linalg.eigvals(comp)
         except np.linalg.LinAlgError:
             stack[:] = False
-    for i in np.flatnonzero(~stack):
-        with contextlib.suppress(np.linalg.LinAlgError):
-            roots[i] = np.roots(series[i])
-    return roots
+    counts = np.where(stack, deg, 0)
+    single: dict[int, np.ndarray] = {}
+    failed: list[int] = []
+    for i in np.flatnonzero(~stack).tolist():
+        try:
+            single[i] = np.roots(series[i])
+        except np.linalg.LinAlgError:
+            failed.append(i)
+            continue
+        counts[i] = len(single[i])
+    line = np.repeat(np.arange(n_lines), counts)
+    roots = np.empty(len(line), dtype=complex)
+    starts = np.cumsum(counts) - counts
+    roots[(starts[stack][:, None] + np.arange(deg)).ravel()] = stacked.ravel()
+    for i, r in single.items():
+        roots[starts[i]:starts[i] + len(r)] = r
+    return roots, line, failed
 
 
-# Grid lines solved together: whole r_2 rows up to this many lines. A few
-# rows per block amortize the per-call numpy overhead; the whole grid at once
-# would only raise peak memory.
-_BLOCK_LINES = 512
+# Grid lines solved together: whole r_2 rows up to this many lines. Many
+# rows per block amortize the per-call numpy overhead; the bound keeps a
+# grid at the CLI's root cap from building whole-grid temporaries.
+_BLOCK_LINES = 4096
 
 
 def amoeba_sample(
@@ -450,12 +507,8 @@ def amoeba_sample(
                 re, im = _cmul(c.real, c.imag, w2_pows[:, j].real, w2_pows[:, j].imag)
                 series[:, col].real += re
                 series[:, col].imag += im
-            roots = _block_roots(series)
-            failed.extend(first * n_phase + i for i, r in enumerate(roots) if r is None)
-
-            found = [np.empty(0) if r is None else r for r in roots]
-            line = np.repeat(np.arange(len(roots)), [len(r) for r in found])
-            w1 = np.concatenate(found).astype(complex)
+            w1, line, failed_lines = _block_roots(series)
+            failed.extend(first * n_phase + i for i in failed_lines)
             line, w1 = line[w1 != 0], w1[w1 != 0]
             # residual filter against the sum of term magnitudes, summed in the
             # order of poly.points; a NaN comparison keeps the root
@@ -587,8 +640,10 @@ def hausdorff_to_tropical(
         count = max(2, int(math.hypot(qx - px, qy - py) / 0.02) + 1)
         s = np.linspace(0.0, 1.0, count)
         samples.append(np.column_stack((px + s * (qx - px), py + s * (qy - py))))
-    # an unbalanced tree builds faster and finds the same nearest distances
-    dists, _ = cKDTree(pts, balanced_tree=False).query(np.concatenate(samples))
+    # nearest distances are exact whatever the tree's shape: an unbalanced,
+    # uncompacted tree with large leaves builds fastest
+    tree = cKDTree(pts, leafsize=64, balanced_tree=False, compact_nodes=False)
+    dists, _ = tree.query(np.concatenate(samples))
     curve_to_cloud = float(np.max(dists))
 
     return max(cloud_to_curve, curve_to_cloud)
@@ -616,6 +671,7 @@ def leg_zero_samples(
     theta = (math.pi * x / lattice_len, math.pi * y / lattice_len)
     lt = params.log_t
     exponents = [(a, -float(poly.height(a)) * lt) for a in poly.points]
+    weights: list[tuple[Point, float]] = []  # (a, t^-nu(a)), at the first sample
 
     def full(w):
         return h_localized(poly, params, w)
@@ -626,7 +682,9 @@ def leg_zero_samples(
         n1 = lt * (float(leg.base[0]) + s * leg.direction[0])
         n2 = lt * (float(leg.base[1]) + s * leg.direction[1])
         w = (cmath.exp(complex(n1, theta[0])), cmath.exp(complex(n2, theta[1])))
-        scale = sum(abs(math.exp(x) * w[0] ** a[0] * w[1] ** a[1]) for a, x in exponents)
+        if not weights:
+            weights = [(a, math.exp(x)) for a, x in exponents]
+        scale = sum(abs(x * w[0] ** a[0] * w[1] ** a[1]) for a, x in weights)
         tol = 1e-13 * scale
         if abs(full(w)) <= tol:
             out.append(w)

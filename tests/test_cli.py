@@ -293,6 +293,8 @@ class TestVerifyMirror:
         assert data["ok"] is True
         # bounds (1,1): 9 n-values x 3 levels = 27 elements, 27^2 ordered pairs
         assert data["pairs_checked"] == 729
+        # the report names what it verified
+        assert data["polygon"] == json.loads(Path(simplex_path).read_text())
 
 
 class TestSections:
@@ -791,14 +793,14 @@ class TestPinnedBytes:
         ("four_point", "theta-mul"): "545791161f84a1f46fa00c6504a1c0ab44de1f694f6667a38235120299deecbe",
         ("four_point", "triangulate"): "594e85bd796e91fa0db3cb542023221e2a389abc8a707cc4f1d3d670e4b37d66",
         ("four_point", "tropical"): "8f0101db701ce7af5c7e67301bd72921de5e9a4ead2b552fa8ddcbd50de21bed",
-        ("four_point", "verify-mirror"): "86ab5cedcc5ec15762d813a92aa9b7b8dc96e91082777857f5ce16e5e8d5713c",
+        ("four_point", "verify-mirror"): "d6b29eae4cc8d79a49db01530801bac7f360128b95c0374f2efb3da5c215b034",
         ("simplex", "mckay"): "dbaf3302b12fc18afd7fc022f6023d369e689dfc8ad11596a9f218ced7691ad7",
         ("simplex", "ring-mul"): "90d44b2101877090242594e6323271c6a135eea844a18de5e28f4cd5caf66cec",
         ("simplex", "sections"): "42da622426723e6456802d486d09c26e6f52391cb4c654d3605e9d2b09ea2d6e",
         ("simplex", "theta-mul"): "855a9fc49d157fc3747a30eaf31a36b3475543e5c16c6228894cc4e80f50ddf7",
         ("simplex", "triangulate"): "f8aac65d73f6f4553507a384bb85b19a192a20bccfa6d28cc1170f40fd5e5591",
         ("simplex", "tropical"): "84fca600d0161cd5e01c0be445c282f59cbcfb417d6f56c6209e2a98caa47b97",
-        ("simplex", "verify-mirror"): "86ab5cedcc5ec15762d813a92aa9b7b8dc96e91082777857f5ce16e5e8d5713c",
+        ("simplex", "verify-mirror"): "547c92b62815e57fb846d9617781e7a79d9fc5ae5753214b68ad768e3cead568",
     }
 
     def test_outputs_match_pinned_digests(self, tmp_path, capsys):

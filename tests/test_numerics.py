@@ -11,6 +11,7 @@ import pytest
 from conicmirror.errors import RootFindingFailure, UndefinedAtOrigin
 from conicmirror.lattice_geometry import HeightedPolygon, perturb_heights, regular_triangulation
 from conicmirror.numerics import (
+    _BLOCK_LINES,
     AmoebaCloud,
     MomentParams,
     PatchworkParams,
@@ -124,17 +125,26 @@ def _reference_phi(poly, params, alpha, n):
     return smoothstep((d - lo) / (hi - lo))
 
 
-def _reference_h_localized(poly, params, w):
-    """The localized family term by term, with _reference_phi."""
+def _reference_h_ts(poly, params, s, w):
+    """The family term by term, with _reference_phi."""
     n = (math.log(abs(w[0])), math.log(abs(w[1])))
     total = 0.0 + 0.0j
     for alpha in poly.points:
-        cut = 1.0 - 1.0 * _reference_phi(poly, params, alpha, n)
+        cut = 1.0 - s * _reference_phi(poly, params, alpha, n) if s != 0.0 else 1.0
         if cut == 0.0:
             continue
         scale = math.exp(-float(poly.height(alpha)) * params.log_t)
-        total += (1.0 + 0.0j) * scale * cut * w[0] ** alpha[0] * w[1] ** alpha[1]
+        total += params.coefficient(alpha) * scale * cut * w[0] ** alpha[0] * w[1] ** alpha[1]
     return total
+
+
+def _reference_h_localized(poly, params, w):
+    """The localized family: s = 1 and unit coefficients."""
+    return _reference_h_ts(poly, PatchworkParams(params.t, params.epsilon_loc), 1.0, w)
+
+
+def _reference_stratum(poly, params, n):
+    return tuple(sorted(a for a in poly.points if _reference_phi(poly, params, a, n) != 1.0))
 
 
 def _outcome(f, *args):
@@ -211,6 +221,60 @@ class TestPhiAlpha:
                     _reference_h_localized, poly, params, w
                 )
         assert near >= 300, near
+
+    def test_interleaved_polygons_and_params_match_the_reference(self):
+        # h_localized keeps the chamber table of the last (polygon, params)
+        # pair, keyed by identity: equal values in distinct objects, another
+        # polygon or the same polygon at another t must not see a stale table
+        rng = random.Random(77)
+        first, second = _random_polygon(rng), _random_polygon(rng)
+        polys = [first, second, HeightedPolygon.create(first.points, first.heights)]
+        params = [
+            PatchworkParams(t=math.e**3, epsilon_loc=0.1),
+            PatchworkParams(t=math.e**3, epsilon_loc=0.1),
+            PatchworkParams(t=math.e**7, epsilon_loc=0.1),
+            PatchworkParams(t=math.e**3, epsilon_loc=0.5),
+        ]
+        pairs = [(poly, p) for poly in polys for p in params]
+        for _ in range(400):
+            poly, p = rng.choice(pairs)
+            lt = p.log_t
+            n = (rng.uniform(-3.0, 3.0) * lt, rng.uniform(-3.0, 3.0) * lt)
+            w = (cmath.exp(complex(n[0], rng.uniform(0.0, 6.3))),
+                 cmath.exp(complex(n[1], rng.uniform(0.0, 6.3))))
+            assert _outcome(h_localized, poly, p, w) == _outcome(
+                _reference_h_localized, poly, p, w
+            )
+
+    def test_unreached_overflowing_scale_matches_the_reference(self):
+        # t^-nu of (-2, 0) is e^800, past the float range; its chamber ends at
+        # n_1 = 200, beyond which its term is cut to 0 and never evaluated
+        poly = HeightedPolygon.create(((-2, 0), (2, 0), (2, 1), (1, 1)), (-800, 0, 0, 0))
+        params = PatchworkParams(t=math.e, epsilon_loc=0.1, coefficients={(2, 1): 2 - 1j})
+        with pytest.raises(OverflowError):
+            math.exp(800.0)
+        outcomes = []
+        for n1 in (150.0, 199.0, 199.99, 200.1, 201.0, 300.0):
+            for n2 in (-50.0, 0.0, 0.05, 50.0):
+                n = (n1, n2)
+                w = (cmath.exp(complex(n1, 0.2)), cmath.exp(complex(n2, 1.0)))
+                for alpha in poly.points:
+                    assert repr(phi_alpha(poly, params, alpha, n)) == repr(
+                        _reference_phi(poly, params, alpha, n)
+                    )
+                    assert repr(chamber_distance(poly, params, alpha, n)) == repr(
+                        _reference_chamber_distance(poly, params, alpha, n)
+                    )
+                assert stratum_of(poly, params, n) == _reference_stratum(poly, params, n)
+                for s in (0.0, 0.5, 1.0):
+                    got = _outcome(h_ts, poly, params, s, w)
+                    assert got == _outcome(_reference_h_ts, poly, params, s, w)
+                    outcomes.append(got)
+                got = _outcome(h_localized, poly, params, w)
+                assert got == _outcome(_reference_h_localized, poly, params, w)
+                outcomes.append(got)
+        assert any(isinstance(o, tuple) for o in outcomes)
+        assert any(isinstance(o, str) for o in outcomes)
 
     def test_smoothstep_shape(self):
         assert smoothstep(0.0) == 0.0
@@ -500,6 +564,14 @@ def _amoeba_cases():
             (3, 4),
             ((-1.0, -1.0), (1.0, 1.0)),
         ),
+        # the leading coefficient 1 - w_2 vanishes on one line of degree 2,
+        # whose single root lands between the stacked lines' roots
+        "quadratic_zero_leading": (
+            HeightedPolygon.create(((0, 0), (1, 0), (2, 0), (2, 1)), 0),
+            PatchworkParams(t=math.e**2, epsilon_loc=0.05, coefficients={(2, 1): -1}),
+            (3, 4),
+            ((-1.0, -1.0), (1.0, 1.0)),
+        ),
         # coefficients overflow to inf: lines the eigensolver rejects
         "square_overflow": (
             square,
@@ -507,17 +579,19 @@ def _amoeba_cases():
             (20, 4),
             ((-100.0, -100.0), (100.0, 100.0)),
         ),
-        # block edges: 13 rows of 64 phases are a block of 8 rows and one
-        # of 5; 1 phase puts 512 rows in a block; 600 phases 1 row
-        "rows_past_block_edge": four_e4[:2] + ((13, 64),) + four_e4[3:],
+        # block edges: at 64 phases a block holds _BLOCK_LINES // 64 rows,
+        # and 5 rows more start a second block; at 1 phase a block holds
+        # _BLOCK_LINES rows; a row wider than _BLOCK_LINES is a block alone
+        "rows_past_block_edge": four_e4[:2] + ((_BLOCK_LINES // 64 + 5, 64),) + four_e4[3:],
         "single_row": four_e4[:2] + ((1, 64),) + four_e4[3:],
-        "single_phase": four_e4[:2] + ((600, 1),) + four_e4[3:],
-        "rows_wider_than_block": four_e4[:2] + ((3, 600),) + four_e4[3:],
-        # failed lines on both sides of a block edge (blocks of 128 rows)
+        "single_phase": four_e4[:2] + ((_BLOCK_LINES + 88, 1),) + four_e4[3:],
+        "rows_wider_than_block": four_e4[:2] + ((2, _BLOCK_LINES + 8),) + four_e4[3:],
+        # failed lines on both sides of a block edge (blocks of
+        # _BLOCK_LINES // 4 rows)
         "square_overflow_blocks": (
             square,
             PatchworkParams(t=math.e**4, epsilon_loc=0.05, coefficients={(1, 1): 1e300}),
-            (300, 4),
+            (_BLOCK_LINES // 4 + 276, 4),
             ((-100.0, -100.0), (100.0, 100.0)),
         ),
         # w_1 does not occur: constant lines without roots
@@ -553,7 +627,7 @@ class TestAmoeba:
         if name == "square_overflow":
             assert len(cloud.failed_lines) == 27
         if name == "square_overflow_blocks":
-            assert cloud.failed_lines[0] < 256 * 4 <= cloud.failed_lines[-1]
+            assert cloud.failed_lines[0] < _BLOCK_LINES <= cloud.failed_lines[-1]
         if name == "vertical_segment":
             assert cloud.points == () and cloud.failed_lines == ()
 
@@ -615,6 +689,22 @@ class TestAmoeba:
         assert hausdorff_to_tropical(cloud, four_curve, clip=corner) == pytest.approx(
             _reference_hausdorff(cloud, four_curve, clip=corner), abs=1e-12
         )
+
+    def test_hausdorff_tree_matches_a_balanced_tree_on_ties(self, four_curve):
+        # clouds on a coarse lattice, with repeated points, so that curve
+        # samples have several nearest points at exactly equal distances;
+        # the reference queries scipy's default balanced tree
+        rng = random.Random(31)
+        vp = default_viewport(four_curve)
+        steps = [i / 4 for i in range(-16, 16)]
+        for case in range(200):
+            size = rng.choice((1, 2, 7, 64, 65, 300, 1500))
+            base = [(rng.choice(steps), rng.choice(steps)) for _ in range(max(1, size // 3))]
+            points = tuple(rng.choice(base) for _ in range(size))
+            cloud = AmoebaCloud(points=points, failed_lines=(), viewport=vp)
+            assert hausdorff_to_tropical(cloud, four_curve) == _reference_hausdorff(
+                cloud, four_curve
+            ), case
 
     def test_hausdorff_of_exact_curve_samples_is_small(self, four_curve):
         # feed curve samples back as a fake cloud: distance bounded by step
