@@ -290,7 +290,6 @@ def _cmd_sections(args: argparse.Namespace) -> int:
         {
             "box": report.box,
             "count": len(report.classes),
-            "kernel_seen": report.kernel_seen,
             "classes": [
                 {
                     **section_to_json(s),
@@ -342,6 +341,8 @@ def _cmd_moment(args: argparse.Namespace) -> int:
     for key in ("chi", "abs_u", "abs_h"):
         if key not in data:
             raise SchemaError(f"moment input needs {key!r}")
+        if isinstance(data[key], bool):  # float() would take true as 1.0
+            raise SchemaError(f"moment input {key!r}: expected a number, got a boolean")
     try:
         params = MomentParams(
             epsilon_blowup=args.eps_blowup, chi=float(data["chi"])

@@ -217,7 +217,13 @@ def cover_unit(sub: Sublattice) -> CoverAlgebraElement:
 def _require_consistent(
     group: QuotientGroup, x: CoverAlgebraElement, label: str
 ) -> None:
+    d1, d2 = group.invariant_factors
     for (g, h, n, _i) in x.entries:
+        if g != (g[0] % d1, g[1] % d2) or h != (h[0] % d1, h[1] % d2):
+            raise InconsistentEntry(
+                f"{label} entry (g={g}, h={h}) has a block label that is not "
+                f"a residue against the invariant factors ({d1}, {d2})"
+            )
         if group.projection(n) != group.sub(h, g):
             raise InconsistentEntry(
                 f"{label} entry (g={g}, h={h}, n={n}) violates projection(n) = h - g"

@@ -178,30 +178,37 @@ def enumerate_sections(tri: Triangulation, box: int) -> list[FramedSection]:
     if len(order) != k:
         raise UnknownCell("triangulation dual graph is not connected")
 
+    # per BFS position: the neighbours at lower positions, the only cells
+    # whose entries in assign belong to the branch being walked
+    rank = {c: pos for pos, c in enumerate(order)}
+    earlier = [[(d, diff) for d, diff in adj[c] if rank[d] < pos]
+               for pos, c in enumerate(order)]
+
     spread = 2 * box
     assign: dict[int, Covector] = {0: (0, 0)}
     results = []
-
-    def rec(pos: int, xlo: int, xhi: int, ylo: int, yhi: int):
+    # (position, next m to try there, spread bounds of the cells before it)
+    stack = [(1, -spread, 0, 0, 0, 0)]
+    while stack:
+        pos, m0, xlo, xhi, ylo, yhi = stack.pop()
         if pos == k:
             results.append(FramedSection(dict(assign)))
-            return
+            continue
         c = order[pos]
         base, (sx, sy) = parent[c]
         bx, by = assign[base]
-        for m in range(-spread, spread + 1):
+        for m in range(m0, spread + 1):
             v = (bx + m * sx, by + m * sy)
             lo_x, hi_x = min(xlo, v[0]), max(xhi, v[0])
             lo_y, hi_y = min(ylo, v[1]), max(yhi, v[1])
             if hi_x - lo_x > spread or hi_y - lo_y > spread:
                 continue
-            if all(pairing(vsub(v, assign[d]), diff) == 0
-                   for d, diff in adj[c] if d in assign):
+            if all(pairing(vsub(v, assign[d]), diff) == 0 for d, diff in earlier[pos]):
                 assign[c] = v
-                rec(pos + 1, lo_x, hi_x, lo_y, hi_y)
-                del assign[c]
+                stack.append((pos, m + 1, xlo, xhi, ylo, yhi))
+                stack.append((pos + 1, -spread, lo_x, hi_x, lo_y, hi_y))
+                break
 
-    rec(1, 0, 0, 0, 0)
     results.sort(key=lambda s: tuple(s.items()))
     return results
 
@@ -211,28 +218,22 @@ class ClassificationReport:
     """Realized shift classes in a box and their degree vectors.
 
     Reports the realized degree sublattice without claiming it is all of the
-    Picard group; kernel_seen records whether some nonzero normalized section
-    had degree vector zero (so the degree map fails to be injective on what
-    was enumerated).
+    Picard group. The degree map is injective on shift classes: a valid jump
+    is m times the primitive perp p of beta - alpha, so its degree is
+    +-m * L * |p|^2 (L the lattice length of the edge), and a zero degree
+    vector makes every jump zero and the section constant.
     """
 
     box: int
     classes: tuple[FramedSection, ...]
     degree_vectors: tuple[LineBundleClass, ...]
-    kernel_seen: bool
 
 
 def classification_report(tri: Triangulation, box: int) -> ClassificationReport:
     classes = enumerate_sections(tri, box)
     frames = _degree_frames(tri)
-    degs = [_degrees(frames, s) for s in classes]
-    kernel = any(
-        d.is_zero() and any(v != (0, 0) for v in s.values.values())
-        for s, d in zip(classes, degs)
-    )
     return ClassificationReport(
         box=box,
         classes=tuple(classes),
-        degree_vectors=tuple(degs),
-        kernel_seen=kernel,
+        degree_vectors=tuple(_degrees(frames, s) for s in classes),
     )

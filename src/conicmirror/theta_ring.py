@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from .lattice_geometry import HeightedPolygon
 from .mirror_ring import BasisIndex, MirrorElement, multiply, oracle_product
 
-ThetaGen = BasisIndex  # (n, i) for p_{n,i}
 ThetaElement = MirrorElement  # p_{n,i} and p^i chi_{-n, ell1(n)} share the index
 
 
@@ -32,15 +31,6 @@ def theta_multiply(
     return multiply(poly, x, y)
 
 
-def mir(poly: HeightedPolygon, x: ThetaElement) -> MirrorElement:
-    """p_{n,i} -> p^i chi_{-n, ell1(n)}: the identity on indices."""
-    return x
-
-
-def mir_inverse(poly: HeightedPolygon, x: MirrorElement) -> ThetaElement:
-    return x
-
-
 @dataclass(frozen=True)
 class MirrorIsoReport:
     """Outcome of the exhaustive two-engine comparison."""
@@ -48,7 +38,7 @@ class MirrorIsoReport:
     bound_n: int
     bound_i: int
     pairs_checked: int
-    failures: tuple[tuple[ThetaGen, ThetaGen], ...]
+    failures: tuple[tuple[BasisIndex, BasisIndex], ...]
 
     @property
     def ok(self) -> bool:
@@ -58,16 +48,17 @@ class MirrorIsoReport:
 def verify_mirror_iso(
     poly: HeightedPolygon, bound_n: int, bound_i: int
 ) -> MirrorIsoReport:
-    """Check mir is a ring map on all basis pairs with |n|_inf and |i| bounded.
+    """Check the index identity is a ring map on all basis pairs with
+    |n|_inf and |i| bounded.
 
-    For each ordered pair of generators, the theta product is pushed through
-    mir and compared with the character-sum engine's product of the images
-    (embed, multiply raw characters, canonicalize). Every failing pair is
-    reported; mir is a ring isomorphism exactly when there are none.
+    For each ordered pair of generators, the theta product is compared with
+    the character-sum engine's product of the same elements (embed, multiply
+    raw characters, canonicalize). Every failing pair is reported; the
+    index identity is a ring isomorphism exactly when there are none.
     """
     if bound_n < 1 or bound_i < 0:
         raise ValueError("bounds must satisfy bound_n >= 1, bound_i >= 0")
-    gens: list[ThetaGen] = [
+    gens: list[BasisIndex] = [
         ((a, b), i)
         for a in range(-bound_n, bound_n + 1)
         for b in range(-bound_n, bound_n + 1)
@@ -77,9 +68,7 @@ def verify_mirror_iso(
     failures = []
     for g1, x in zip(gens, elements):
         for g2, y in zip(gens, elements):
-            lhs = mir(poly, theta_multiply(poly, x, y))
-            rhs = oracle_product(poly, mir(poly, x), mir(poly, y))
-            if lhs != rhs:
+            if theta_multiply(poly, x, y) != oracle_product(poly, x, y):
                 failures.append((g1, g2))
     return MirrorIsoReport(
         bound_n=bound_n,

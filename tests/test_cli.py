@@ -302,11 +302,24 @@ class TestSections:
         assert main(["sections", "--in", four_point_path, "--box", "1"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["count"] == 5
-        assert data["kernel_seen"] is False
         assert len(data["classes"]) == 5
+        # the degree map is injective on shift classes
+        assert len({tuple(sorted(c["degrees"].items())) for c in data["classes"]}) == 5
         for cls in data["classes"]:
             assert set(cls["section"]) == {"0", "1", "2"}
             assert set(cls["degrees"]) == {"0", "1", "2"}
+
+    def test_box_zero_on_a_thousand_cells(self, tmp_path, capsys):
+        # heights x^2 + xy cut the 1 x 520 strip into a zigzag of 1040 cells
+        # whose dual graph is a path, deeper than the default recursion limit
+        points = [[x, y] for x in range(521) for y in (0, 1)]
+        job = tmp_path / "strip.json"
+        job.write_text(json.dumps({"points": points, "heights": [x * x + x * y for x, y in points]}))
+        assert main(["sections", "--in", str(job), "--box", "0"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["count"] == 1
+        assert len(data["classes"][0]["section"]) == 1040
+        assert len(data["classes"][0]["degrees"]) == 1039
 
 
 class TestMckay:
@@ -350,6 +363,19 @@ class TestMckay:
         assert data["order"] == 10**10
         assert data["has_compact_divisor"] is True
 
+    def test_non_residue_block_label_exits_3(self, tmp_path, capsys):
+        # (0, 3) is not a residue against the invariant factors (2, 2)
+        entry = {"g": [0, 3], "h": [0, 3], "n": [0, 0], "i": 0, "c": "1"}
+        x = {"cover": True, "entries": [entry]}
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps(
+            {"polygon": SIMPLEX, "sublattice": {"basis": [[2, 0], [0, 2]]}, "x": x, "y": x}
+        ))
+        assert main(["mckay", "--in", str(job)]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("InconsistentEntry: ")
+
     def test_singular_sublattice_exits_3(self, simplex_path, capsys):
         code = main(
             ["mckay", "--in", simplex_path, "--sublattice", '{"basis": [[1,0],[2,0]]}']
@@ -372,6 +398,15 @@ class TestMoment:
         job = tmp_path / "job.json"
         job.write_text(json.dumps({"chi": 0.5, "abs_u": 1.0, "abs_h": 1.0}))
         assert main(["moment", "--in", str(job), "--eps-blowup", "0.3"]) == 2
+
+    @pytest.mark.parametrize("key", ["chi", "abs_u", "abs_h"])
+    def test_boolean_value_exits_2(self, tmp_path, capsys, key):
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({"chi": 1, "abs_u": 1, "abs_h": 1, key: True}))
+        assert main(["moment", "--in", str(job), "--eps-blowup", "0.3"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"SchemaError: moment input {key!r}: expected a number, got a boolean\n"
 
     def test_infinite_modulus_exits_2(self, tmp_path, capsys):
         job = tmp_path / "job.json"
@@ -789,14 +824,14 @@ class TestPinnedBytes:
     DIGESTS = {
         ("four_point", "mckay"): "12f41fc762ac6f56545d913240ff38112795d8e39b565a2ecbd8723c6c4e440b",
         ("four_point", "ring-mul"): "80db6bdbc96a7715caf02865615e21e4d462b889dd6f59a700fe10ac9566e77a",
-        ("four_point", "sections"): "38bbafc0a8a6d1092306cbf5ce589aad330142590cbae98ddb65c7993f785402",
+        ("four_point", "sections"): "a30d8fde8834b297ec0c1a0d2156a883b76381d02f94bed148b0fcddd73f1e9f",
         ("four_point", "theta-mul"): "545791161f84a1f46fa00c6504a1c0ab44de1f694f6667a38235120299deecbe",
         ("four_point", "triangulate"): "594e85bd796e91fa0db3cb542023221e2a389abc8a707cc4f1d3d670e4b37d66",
         ("four_point", "tropical"): "8f0101db701ce7af5c7e67301bd72921de5e9a4ead2b552fa8ddcbd50de21bed",
         ("four_point", "verify-mirror"): "d6b29eae4cc8d79a49db01530801bac7f360128b95c0374f2efb3da5c215b034",
         ("simplex", "mckay"): "dbaf3302b12fc18afd7fc022f6023d369e689dfc8ad11596a9f218ced7691ad7",
         ("simplex", "ring-mul"): "90d44b2101877090242594e6323271c6a135eea844a18de5e28f4cd5caf66cec",
-        ("simplex", "sections"): "42da622426723e6456802d486d09c26e6f52391cb4c654d3605e9d2b09ea2d6e",
+        ("simplex", "sections"): "4b64519b87e61716d6f6a948a50e0bfe2c20641d80a9cb9fd226b9c25038d163",
         ("simplex", "theta-mul"): "855a9fc49d157fc3747a30eaf31a36b3475543e5c16c6228894cc4e80f50ddf7",
         ("simplex", "triangulate"): "f8aac65d73f6f4553507a384bb85b19a192a20bccfa6d28cc1170f40fd5e5591",
         ("simplex", "tropical"): "84fca600d0161cd5e01c0be445c282f59cbcfb417d6f56c6209e2a98caa47b97",

@@ -165,6 +165,19 @@ class TestCoverCompose:
         with pytest.raises(InconsistentEntry):
             cover_compose(simplex, SUB_Z3, good, bad)
 
+    def test_block_labels_must_be_residues(self, simplex):
+        # G = Z/2 x Z/2; (0, 3) names the same element as (0, 1) but is not
+        # its residue, so it cannot be matched against other blocks
+        sub = Sublattice(((2, 0), (0, 2)))
+        e = CoverAlgebraElement.generator((0, 1), (0, 1), (0, 0), 0)
+        assert cover_compose(simplex, sub, e, e) == e
+        for g, h in (((0, 3), (0, 3)), ((0, 1), (0, -1)), ((2, 1), (0, 1))):
+            bad = CoverAlgebraElement.generator(g, h, (0, 0), 0)
+            with pytest.raises(InconsistentEntry, match="not a residue"):
+                cover_compose(simplex, sub, bad, bad)
+            with pytest.raises(InconsistentEntry, match="not a residue"):
+                cover_compose(simplex, sub, e, bad)
+
     def test_associative_and_bilinear(self, simplex):
         rng = random.Random(19)
         group = quotient(SUB_Z3)

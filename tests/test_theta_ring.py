@@ -7,8 +7,6 @@ import pytest
 from conicmirror.mirror_ring import MirrorElement, multiply
 from conicmirror.theta_ring import (
     ThetaElement,
-    mir,
-    mir_inverse,
     theta_multiply,
     verify_mirror_iso,
 )
@@ -28,17 +26,10 @@ def test_product_examples(simplex):
         )
 
 
-def test_mir_is_index_identity(simplex):
-    x = P((2, 1), -3)
-    assert mir(simplex, x) == MirrorElement.basis((2, 1), -3)
-    assert mir(simplex, ThetaElement.unit()) == MirrorElement.unit()
-    assert mir_inverse(simplex, mir(simplex, x)) == x
-
-
-def test_mir_is_ring_map_on_example(simplex):
+def test_theta_multiply_is_mirror_multiply(simplex):
     x, y = P((1, 0), 0), P((0, 1), 0)
-    lhs = mir(simplex, theta_multiply(simplex, x, y))
-    rhs = multiply(simplex, mir(simplex, x), mir(simplex, y))
+    lhs = theta_multiply(simplex, x, y)
+    rhs = multiply(simplex, x, y)
     assert lhs == rhs == MirrorElement.basis((1, 1), 0) + MirrorElement.basis((1, 1), 1)
 
 
