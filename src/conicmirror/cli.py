@@ -32,10 +32,12 @@ from .numerics import (
     PatchworkParams,
     amoeba_sample,
     default_viewport,
+    line_degree,
     moment_map_detail,
 )
 from .sections_bundles import classification_report
 from .serialize import (
+    SVG_SIZE,
     canonical_json,
     cloud_to_csv,
     cloud_to_json,
@@ -123,8 +125,7 @@ MAX_GRID_WORK = 500_000
 
 
 def _check_grid_work(poly, grid: tuple[int, int]) -> None:
-    xs = [p[0] for p in poly.points]
-    degree = max(1, max(xs) - min(min(xs), 0))
+    degree = max(1, line_degree(poly))
     work = grid[0] * grid[1] * degree
     if work > MAX_GRID_WORK:
         raise SchemaError(
@@ -206,7 +207,7 @@ def _cmd_tropical(args: argparse.Namespace) -> int:
 
 def _params_from(args: argparse.Namespace) -> PatchworkParams:
     try:
-        return PatchworkParams(t=args.t, epsilon_loc=args.eps_loc)
+        return PatchworkParams(t=args.t)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
@@ -368,6 +369,15 @@ def _cmd_moment(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
+    if args.overlay is None:
+        for flag, value in (("--t", args.t), ("--grid", args.grid)):
+            if value is not None:
+                raise SchemaError(f"plot {flag} requires --overlay amoeba")
+    # a width that scales to infinitely many pixels would write inf into the SVG
+    if args.viewport and not all(
+        math.isfinite(SVG_SIZE / (hi - lo)) for lo, hi in zip(*args.viewport)
+    ):
+        raise SchemaError(f"--viewport is too narrow to scale to {SVG_SIZE} pixels")
     poly = _polygon_of(_load_json(args.input_path), "input")
     tri = regular_triangulation(poly)
     curve = tropical_curve(poly, tri)
@@ -410,7 +420,7 @@ COMMANDS = {
     "triangulate": Command(_cmd_triangulate),
     "tropical": Command(_cmd_tropical),
     "amoeba": Command(
-        _cmd_amoeba, ("--t", "--eps-loc", "--grid", "--viewport"), required=("--t",)
+        _cmd_amoeba, ("--t", "--grid", "--viewport"), required=("--t",)
     ),
     "ring-mul": Command(_cmd_product),
     "theta-mul": Command(_cmd_product),
@@ -420,14 +430,13 @@ COMMANDS = {
     "sections": Command(_cmd_sections, ("--box",), required=("--box",)),
     "mckay": Command(_cmd_mckay, ("--sublattice",)),
     "moment": Command(_cmd_moment, ("--eps-blowup",), required=("--eps-blowup",)),
-    "plot": Command(_cmd_plot, ("--t", "--eps-loc", "--grid", "--viewport", "--overlay")),
+    "plot": Command(_cmd_plot, ("--t", "--grid", "--viewport", "--overlay")),
     "acceptance": Command(_cmd_acceptance, ("--seed",), takes_input=False),
 }
 
 # argparse keywords of every option flag
 _FLAGS = {
     "--t": {"type": float},
-    "--eps-loc": {"type": float, "default": 0.05},
     "--eps-blowup": {"type": float},
     "--bound-n": {"type": int},
     "--bound-i": {"type": int},

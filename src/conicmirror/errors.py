@@ -56,10 +56,6 @@ class RootFindingFailure(ConicMirrorError):
     """Polynomial root extraction failed on a grid line (reported, non-fatal)."""
 
 
-class UndefinedAtOrigin(ConicMirrorError):
-    """The moment map has no limit at |u| = |h| = 0 in the chi = 1 branch."""
-
-
 class FloatRangeError(ConicMirrorError):
     """An exact value is past the range or the precision of floats, so a float
     command cannot use it."""

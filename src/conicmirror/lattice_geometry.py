@@ -14,9 +14,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
     DegeneratePolygon,
@@ -215,13 +215,10 @@ class HeightedPolygon:
     def create(
         cls,
         points: Iterable[Sequence[int]],
-        heights: Union[Mapping[Point, RationalLike], Sequence[RationalLike], RationalLike] = 0,
+        heights: Union[Sequence[RationalLike], RationalLike] = 0,
     ) -> "HeightedPolygon":
         pts = tuple((int(p[0]), int(p[1])) for p in points)
-        if isinstance(heights, Mapping):
-            hmap = {(int(k[0]), int(k[1])): as_fraction(v) for k, v in heights.items()}
-            hts = tuple(hmap.get(p, Fraction(0)) for p in pts)
-        elif isinstance(heights, (int, str, Fraction)):
+        if isinstance(heights, (int, str, Fraction)):
             hts = tuple(as_fraction(heights) for _ in pts)
         else:
             hts = tuple(as_fraction(h) for h in heights)
@@ -280,8 +277,8 @@ class Triangulation:
 
     points: tuple[Point, ...]
     cells: tuple[tuple[int, int, int], ...]
-    edges: tuple[Edge, ...] = field(default=())
-    vertices_used: tuple[int, ...] = field(default=())
+    edges: tuple[Edge, ...]
+    vertices_used: tuple[int, ...]
 
     def interior_edges(self) -> list[Edge]:
         return [e for e in self.edges if e.interior]

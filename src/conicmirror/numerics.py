@@ -17,9 +17,9 @@ import contextlib
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
-from .errors import FloatRangeError, RootFindingFailure, UndefinedAtOrigin
+from .errors import FloatRangeError, RootFindingFailure
 from .lattice_geometry import HeightedPolygon, Point, _exgcd, primitivize, vsub
 from .tropical_curves import Leg, TropicalCurve
 
@@ -41,15 +41,11 @@ def to_float(x) -> float:
 
 @dataclass(frozen=True)
 class PatchworkParams:
-    """Parameters of the patchworking family h_t and its localization.
-
-    coefficients maps lattice points of A to complex numbers; omitted points
-    default to 1, matching the canonical all-ones choice.
-    """
+    """Parameters of the patchworking family h_t and its localization. The
+    family's coefficients are all 1, the canonical all-ones choice."""
 
     t: float
-    epsilon_loc: float
-    coefficients: Optional[Mapping[Point, complex]] = None
+    epsilon_loc: float = 0.05
 
     def __post_init__(self):
         if not (1.0 < float(self.t) < math.inf):
@@ -58,21 +54,10 @@ class PatchworkParams:
             raise ValueError("epsilon_loc must be finite and > 0")
         object.__setattr__(self, "t", float(self.t))
         object.__setattr__(self, "epsilon_loc", float(self.epsilon_loc))
-        if self.coefficients is not None:
-            norm = {
-                (int(p[0]), int(p[1])): complex(c)
-                for p, c in dict(self.coefficients).items()
-            }
-            object.__setattr__(self, "coefficients", norm)
 
     @property
     def log_t(self) -> float:
         return math.log(self.t)
-
-    def coefficient(self, alpha: Point) -> complex:
-        if self.coefficients is None:
-            return 1.0 + 0.0j
-        return self.coefficients.get(alpha, 1.0 + 0.0j)
 
 
 @dataclass(frozen=True)
@@ -293,10 +278,15 @@ def _require_nonzero(w: Sequence[complex]) -> tuple[complex, complex]:
     return w1, w2
 
 
-def _family(
-    chambers: _Chambers, coefficients: Mapping[Point, complex], s: float, w: Sequence[complex]
+def h_ts(
+    poly: HeightedPolygon, params: PatchworkParams, s: float, w: Sequence[complex]
 ) -> complex:
-    """h_ts on a chamber table; omitted coefficients are 1."""
+    """The interpolating family: sum of t^{-nu(a)} (1 - s phi_a) w^a.
+
+    At s = 0 this is the plain patchworking polynomial h_t; at s = 1 the
+    tropical localization.
+    """
+    chambers = _table(poly, params)
     w1, w2 = _require_nonzero(w)
     n = (math.log(abs(w1)), math.log(abs(w2)))
     cutoff = chambers.cutoff(n)
@@ -305,20 +295,8 @@ def _family(
         cut = 1.0 - s * chambers.phi(alpha, n, cutoff) if s != 0.0 else 1.0
         if cut == 0.0:
             continue
-        c = coefficients.get(alpha, 1.0 + 0.0j)
-        total += c * chambers.scale(alpha) * cut * w1 ** alpha[0] * w2 ** alpha[1]
+        total += chambers.scale(alpha) * cut * w1 ** alpha[0] * w2 ** alpha[1]
     return total
-
-
-def h_ts(
-    poly: HeightedPolygon, params: PatchworkParams, s: float, w: Sequence[complex]
-) -> complex:
-    """The interpolating family: sum of c_a t^{-nu(a)} (1 - s phi_a) w^a.
-
-    At s = 0 this is the plain patchworking polynomial h_t; at s = 1 the
-    tropical localization with the params coefficients.
-    """
-    return _family(_table(poly, params), params.coefficients or {}, s, w)
 
 
 def h_t(poly: HeightedPolygon, params: PatchworkParams, w: Sequence[complex]) -> complex:
@@ -329,8 +307,8 @@ def h_t(poly: HeightedPolygon, params: PatchworkParams, w: Sequence[complex]) ->
 def h_localized(
     poly: HeightedPolygon, params: PatchworkParams, w: Sequence[complex]
 ) -> complex:
-    """Tropical localization: the family at s = 1 with unit coefficients."""
-    return _family(_table(poly, params), {}, 1.0, w)
+    """Tropical localization (the family at s = 1)."""
+    return h_ts(poly, params, 1.0, w)
 
 
 def stratum_of(
@@ -439,6 +417,13 @@ def _block_roots(series: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]
 _BLOCK_LINES = 4096
 
 
+def line_degree(poly: HeightedPolygon) -> int:
+    """The degree in w_1 of every grid line's polynomial once amoeba_sample
+    clears its denominators by w_1^k: the most roots it seeks on a line."""
+    xs = [p[0] for p in poly.points]
+    return max(xs) - min(min(xs), 0)
+
+
 def amoeba_sample(
     poly: HeightedPolygon,
     params: PatchworkParams,
@@ -470,18 +455,15 @@ def amoeba_sample(
         raise ValueError("grid must be positive in both directions")
     (_, ylo), (_, yhi) = viewport
     lt = params.log_t
-    k = max(0, -min(p[0] for p in poly.points))
-    max_pow = max(p[0] for p in poly.points) + k
+    max_pow = line_degree(poly)
+    top = max(p[0] for p in poly.points)
     with _in_float_range(params.t):
         scales = [
-            (alpha, params.coefficient(alpha) * math.exp(-float(poly.height(alpha)) * lt))
-            for alpha in poly.points
+            (alpha, complex(math.exp(-float(poly.height(alpha)) * lt))) for alpha in poly.points
         ]
     # each distinct alpha_2 gets one column of w_2 powers
     w2_exps = list(dict.fromkeys(alpha[1] for alpha, _ in scales))
-    terms = [
-        (alpha, c, max_pow - k - alpha[0], w2_exps.index(alpha[1])) for alpha, c in scales
-    ]
+    terms = [(alpha, c, top - alpha[0], w2_exps.index(alpha[1])) for alpha, c in scales]
     phases = [cmath.exp(1j * (2.0 * math.pi * i_ph / n_phase)) for i_ph in range(n_phase)]
     rows_per_block = max(1, _BLOCK_LINES // n_phase)
     r2_grid = np.linspace(ylo, yhi, n_r2)
@@ -594,12 +576,9 @@ def _clipped_curve_segments(curve: TropicalCurve, vp: Viewport) -> list[tuple[Re
     return _clipped_edges(curve, vp) + _clipped_legs(curve, vp)
 
 
-def hausdorff_to_tropical(
-    cloud: AmoebaCloud,
-    curve: TropicalCurve,
-    clip: Optional[Viewport] = None,
-) -> float:
-    """Symmetric Hausdorff distance between the clipped cloud and curve.
+def hausdorff_to_tropical(cloud: AmoebaCloud, curve: TropicalCurve) -> float:
+    """Symmetric Hausdorff distance between the cloud and curve, both clipped
+    to the cloud's viewport.
 
     Cloud-to-curve distances are exact point-to-segment minima over the
     curve pieces clipped to the viewport; curve-to-cloud distances are taken
@@ -610,7 +589,7 @@ def hausdorff_to_tropical(
     import numpy as np
     from scipy.spatial import cKDTree  # imported here: scipy.spatial is slow to load
 
-    vp = clip if clip is not None else cloud.viewport
+    vp = cloud.viewport
     (xlo, ylo), (xhi, yhi) = vp
     flat = itertools.chain.from_iterable(cloud.points)
     xy = np.fromiter(flat, dtype=float, count=2 * len(cloud.points)).reshape(-1, 2)
@@ -719,7 +698,8 @@ def leg_zero_samples(
 
 @dataclass(frozen=True)
 class MomentParams:
-    """Blow-up size and the cutoff value at the query point."""
+    """Blow-up size and the cutoff value at the query point: 0 or 1, the
+    values with a closed form."""
 
     epsilon_blowup: float
     chi: float
@@ -727,8 +707,8 @@ class MomentParams:
     def __post_init__(self):
         if not (0.0 < float(self.epsilon_blowup) < math.inf):
             raise ValueError("epsilon_blowup must be finite and > 0")
-        if not (0.0 <= float(self.chi) <= 1.0):
-            raise ValueError("chi must lie in [0, 1]")
+        if float(self.chi) not in (0.0, 1.0):
+            raise ValueError("closed forms are available only for chi = 0 or chi = 1")
         object.__setattr__(self, "epsilon_blowup", float(self.epsilon_blowup))
         object.__setattr__(self, "chi", float(self.chi))
 
@@ -738,15 +718,12 @@ def singular_level(params: MomentParams) -> float:
     return params.epsilon_blowup
 
 
-def moment_map(
-    params: MomentParams, abs_u: float, abs_h: float, strict: bool = False
-) -> float:
+def moment_map(params: MomentParams, abs_u: float, abs_h: float) -> float:
     """Closed forms of the moment map at a point with the given moduli.
 
     chi = 0: pi |u|^2. chi = 1: pi |u|^2 + eps |u|^2 / (|h|^2 + |u|^2),
-    undefined at |u| = |h| = 0, where the limit 0 along u = 0 is returned
-    (or UndefinedAtOrigin raised when strict). Other chi values have no
-    closed form here and are rejected, and so is a value that overflows.
+    undefined at |u| = |h| = 0, where the limit 0 along u = 0 is returned.
+    A value that overflows is rejected.
     """
     u = float(abs_u)
     h = float(abs_h)
@@ -754,11 +731,7 @@ def moment_map(
         raise ValueError("moduli must be finite and nonnegative")
     if params.chi == 0.0:
         value = math.pi * u * u
-    elif params.chi == 1.0:
-        if u == 0.0 and h == 0.0:
-            if strict:
-                raise UndefinedAtOrigin("moment map is undefined at |u| = |h| = 0")
-            return 0.0
+    else:
         if u == 0.0:
             return 0.0
         # the second term depends on u/h only: rescale when both squares underflow
@@ -768,8 +741,6 @@ def moment_map(
         if not math.isfinite(value):
             # eps * su * su can overflow before the division brings it back
             value = math.pi * u * u + params.epsilon_blowup * (su * su / (sh * sh + su * su))
-    else:
-        raise ValueError("closed forms are available only for chi = 0 or chi = 1")
     if not math.isfinite(value):
         raise ValueError(f"moment map value {value} is not finite")
     return value
@@ -788,7 +759,7 @@ def moment_map_detail(
 ) -> MomentEvaluation:
     """moment_map plus origin and singular-level flags."""
     origin = params.chi == 1.0 and float(abs_u) == 0.0 and float(abs_h) == 0.0
-    value = moment_map(params, abs_u, abs_h, strict=False)
+    value = moment_map(params, abs_u, abs_h)
     lam = singular_level(params)
     return MomentEvaluation(
         value=value,

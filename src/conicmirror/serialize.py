@@ -334,10 +334,11 @@ def cover_element_from_json(data: Any, where: str = "element") -> CoverAlgebraEl
 
 
 def cloud_to_json(cloud: AmoebaCloud) -> dict:
+    """The cloud's tuples as they are: canonical_json writes tuples as arrays."""
     return {
-        "points": [[p[0], p[1]] for p in cloud.points],
-        "failed_lines": list(cloud.failed_lines),
-        "viewport": [list(cloud.viewport[0]), list(cloud.viewport[1])],
+        "points": cloud.points,
+        "failed_lines": cloud.failed_lines,
+        "viewport": cloud.viewport,
     }
 
 

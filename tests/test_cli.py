@@ -394,10 +394,16 @@ class TestMoment:
         assert data["singular_level"] == 0.3
         assert data["at_singular_level"] is False
 
-    def test_fractional_chi_exits_2(self, tmp_path):
+    def test_fractional_chi_exits_2(self, tmp_path, capsys):
         job = tmp_path / "job.json"
-        job.write_text(json.dumps({"chi": 0.5, "abs_u": 1.0, "abs_h": 1.0}))
-        assert main(["moment", "--in", str(job), "--eps-blowup", "0.3"]) == 2
+        for chi in (0.5, 2):
+            job.write_text(json.dumps({"chi": chi, "abs_u": 1.0, "abs_h": 1.0}))
+            assert main(["moment", "--in", str(job), "--eps-blowup", "0.3"]) == 2
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err == (
+                "SchemaError: closed forms are available only for chi = 0 or chi = 1\n"
+            )
 
     @pytest.mark.parametrize("key", ["chi", "abs_u", "abs_h"])
     def test_boolean_value_exits_2(self, tmp_path, capsys, key):
@@ -465,14 +471,6 @@ class TestAmoeba:
         assert main(["amoeba", "--in", simplex_path, "--t", t]) == 2
         out = capsys.readouterr()
         assert out.out == "" and "SchemaError" in out.err
-
-    def test_zero_eps_loc_exits_2(self, simplex_path, capsys):
-        # 0 is not the default 0.05: like -1, it is out of range
-        for eps in ("0", "-1"):
-            assert main(["amoeba", "--in", simplex_path, "--t", "7.389", "--eps-loc", eps]) == 2
-            out = capsys.readouterr()
-            assert out.out == ""
-            assert out.err == "SchemaError: epsilon_loc must be finite and > 0\n"
 
     @pytest.mark.parametrize(
         "viewport", ["-inf,-1,inf,1", "-1e308,-1e308,1e308,1e308", "0,0,1,inf"]
@@ -603,6 +601,29 @@ class TestPlot:
     def test_overlay_without_t_exits_2(self, four_point_path):
         assert main(["plot", "--in", four_point_path, "--overlay", "amoeba"]) == 2
 
+    @pytest.mark.parametrize(
+        "given, flag",
+        [(["--t", "3", "--grid", "999999x999999"], "--t"), (["--grid", "8x4"], "--grid")],
+    )
+    def test_amoeba_flags_without_overlay_exit_2(self, four_point_path, capsys, given, flag):
+        assert main(["plot", "--in", four_point_path] + given) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"SchemaError: plot {flag} requires --overlay amoeba\n"
+
+    @pytest.mark.parametrize("viewport", ["0,0,5e-324,1", "0,0,1,5e-324"])
+    def test_viewport_too_narrow_for_pixels_exits_2(self, four_point_path, capsys, viewport):
+        assert main(["plot", "--in", four_point_path, f"--viewport={viewport}"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "SchemaError: --viewport is too narrow to scale to 600 pixels\n"
+        # amoeba scales nothing to pixels and takes the same viewport
+        argv = ["amoeba", "--in", four_point_path, "--t", "54.598", "--grid", "4x2"]
+        assert main(argv + [f"--viewport={viewport}"]) == 0
+        assert json.loads(capsys.readouterr().out)["cloud"]["viewport"] == [
+            [0.0, 0.0], [float(v) for v in viewport.split(",")[2:]]
+        ]
+
 
 class TestConsoleEntry:
     def test_module_invocation_round_trips(self, four_point_path):
@@ -686,7 +707,7 @@ class TestParserReuse:
             ["triangulate", "--in", four],
             ["tropical", "--in", simplex],
             ["amoeba", "--in", four, "--t", "54.598", "--grid", "12x4",
-             "--viewport", "-2,-2,2,2", "--eps-loc", "0.1", "--out", "cloud.csv"],
+             "--viewport", "-2,-2,2,2", "--out", "cloud.csv"],
             ["amoeba", "--in", four, "--t", "54.598", "--grid", "12x4"],
             ["amoeba", "--in", simplex, "--t", "7.389"],
             # an empty value counts as not given
@@ -704,7 +725,7 @@ class TestParserReuse:
             ["moment", "--in", jobs["moment"], "--eps-blowup", "0.3"],
             ["plot", "--in", four, "--t", "54.598", "--overlay", "amoeba",
              "--grid", "12x4", "--viewport", "-3,-3,3,3", "--out", "overlay.svg"],
-            ["plot", "--in", four, "--t", "54.598", "--out", "plain.svg"],
+            ["plot", "--in", four, "--out", "plain.svg"],
             ["plot", "--in", simplex, "--t", "7.389", "--overlay", "amoeba"],
             ["plot", "--in", simplex],
             # failures inside and outside argparse
@@ -759,6 +780,68 @@ class TestParserReuse:
         ]:
             assert forward[empty][0] == 0
             assert forward[empty] == forward[given_nothing]
+
+
+_FOUR, _SIMPLEX = str(SAMPLES / "four_point.json"), str(SAMPLES / "simplex.json")
+
+# (command, flag) -> the argv without the flag, then two argv tails that set
+# it differently; "job:<name>" stands for that file of _job_files
+_FLAG_CASES = {
+    ("amoeba", "--t"): (
+        ["amoeba", "--in", _FOUR, "--grid", "8x4"], ["--t", "54.598"], ["--t", "7.389"]),
+    ("amoeba", "--grid"): (
+        ["amoeba", "--in", _FOUR, "--t", "54.598"], ["--grid", "8x4"], ["--grid", "6x4"]),
+    ("amoeba", "--viewport"): (
+        ["amoeba", "--in", _FOUR, "--t", "54.598", "--grid", "8x4"],
+        ["--viewport", "-2,-2,2,2"], ["--viewport", "-3,-3,3,3"]),
+    ("verify-mirror", "--bound-n"): (
+        ["verify-mirror", "--in", _SIMPLEX, "--bound-i", "0"],
+        ["--bound-n", "1"], ["--bound-n", "2"]),
+    ("verify-mirror", "--bound-i"): (
+        ["verify-mirror", "--in", _SIMPLEX, "--bound-n", "1"],
+        ["--bound-i", "0"], ["--bound-i", "1"]),
+    ("sections", "--box"): (["sections", "--in", _FOUR], ["--box", "0"], ["--box", "1"]),
+    ("mckay", "--sublattice"): (
+        ["mckay", "--in", "job:mckay"], [], ["--sublattice", '{"basis": [[1, 0], [0, 2]]}']),
+    ("moment", "--eps-blowup"): (
+        ["moment", "--in", "job:moment"], ["--eps-blowup", "0.3"], ["--eps-blowup", "0.5"]),
+    ("plot", "--t"): (
+        ["plot", "--in", _FOUR, "--overlay", "amoeba", "--grid", "8x4"],
+        ["--t", "54.598"], ["--t", "7.389"]),
+    ("plot", "--grid"): (
+        ["plot", "--in", _FOUR, "--overlay", "amoeba", "--t", "54.598"],
+        ["--grid", "8x4"], ["--grid", "6x4"]),
+    ("plot", "--viewport"): (
+        ["plot", "--in", _FOUR], ["--viewport", "-2,-2,2,2"], ["--viewport", "-3,-3,3,3"]),
+    ("plot", "--overlay"): (
+        ["plot", "--in", _FOUR], [], ["--overlay", "amoeba", "--t", "54.598", "--grid", "8x4"]),
+}
+
+# flags without a case: one acceptance run takes about 8 s
+_FLAGS_WITHOUT_CASE = {("acceptance", "--seed")}
+
+
+class TestEveryFlagMatters:
+    """Each option flag of each command changes what the command prints, so a
+    flag that the command ignores fails here."""
+
+    def test_cases_cover_every_flag(self):
+        flags = {(name, flag) for name, command in cli.COMMANDS.items() for flag in command.flags}
+        assert set(_FLAG_CASES) | _FLAGS_WITHOUT_CASE == flags
+        assert not set(_FLAG_CASES) & _FLAGS_WITHOUT_CASE
+
+    @pytest.mark.parametrize("command, flag", sorted(_FLAG_CASES))
+    def test_flag_changes_the_output(self, tmp_path, capsys, command, flag):
+        jobs = _job_files(tmp_path)
+        base, first, second = _FLAG_CASES[command, flag]
+        assert flag not in base and flag in first + second
+        out = tmp_path / "out"
+        printed = []
+        for tail in (first, second):
+            argv = [jobs[a[4:]] if a.startswith("job:") else a for a in base + tail]
+            assert main(argv + ["--out", str(out)]) == 0, capsys.readouterr().err
+            printed.append((out.read_bytes(), capsys.readouterr().out))
+        assert printed[0] != printed[1]
 
 
 def _pinned_calls(tmp_path) -> dict:

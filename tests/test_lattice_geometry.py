@@ -68,7 +68,7 @@ def test_four_point_star(four_point_tri):
 
 
 def test_four_point_positive_height_drops_origin(four_point_tri):
-    poly = HeightedPolygon.create(FOUR_POINTS, {(0, 0): Fraction(1, 4)})
+    poly = HeightedPolygon.create(FOUR_POINTS, [Fraction(1, 4), 0, 0, 0])
     tri = regular_triangulation(poly)
     assert tri.cells == ((1, 2, 3),)
     assert tri.vertices_used == (1, 2, 3)

@@ -1,6 +1,8 @@
 """Tests for the floating-point layer: localization, amoebas, moment map."""
 
 import cmath
+import collections
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -8,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conicmirror.errors import RootFindingFailure, UndefinedAtOrigin
+from conicmirror.errors import RootFindingFailure
 from conicmirror.lattice_geometry import HeightedPolygon, perturb_heights, regular_triangulation
 from conicmirror.numerics import (
     _BLOCK_LINES,
@@ -134,13 +136,13 @@ def _reference_h_ts(poly, params, s, w):
         if cut == 0.0:
             continue
         scale = math.exp(-float(poly.height(alpha)) * params.log_t)
-        total += params.coefficient(alpha) * scale * cut * w[0] ** alpha[0] * w[1] ** alpha[1]
+        total += scale * cut * w[0] ** alpha[0] * w[1] ** alpha[1]
     return total
 
 
 def _reference_h_localized(poly, params, w):
-    """The localized family: s = 1 and unit coefficients."""
-    return _reference_h_ts(poly, PatchworkParams(params.t, params.epsilon_loc), 1.0, w)
+    """The localized family: s = 1."""
+    return _reference_h_ts(poly, params, 1.0, w)
 
 
 def _reference_stratum(poly, params, n):
@@ -250,7 +252,7 @@ class TestPhiAlpha:
         # t^-nu of (-2, 0) is e^800, past the float range; its chamber ends at
         # n_1 = 200, beyond which its term is cut to 0 and never evaluated
         poly = HeightedPolygon.create(((-2, 0), (2, 0), (2, 1), (1, 1)), (-800, 0, 0, 0))
-        params = PatchworkParams(t=math.e, epsilon_loc=0.1, coefficients={(2, 1): 2 - 1j})
+        params = PatchworkParams(t=math.e, epsilon_loc=0.1)
         with pytest.raises(OverflowError):
             math.exp(800.0)
         outcomes = []
@@ -346,17 +348,6 @@ class TestPatchworkFamily:
         assert h_ts(four_point, params, 0.0, w) == pytest.approx(direct)
         assert h_t(four_point, params, w) == pytest.approx(direct)
 
-    def test_custom_coefficients_enter_h_t_but_not_h_localized(self, simplex):
-        params = PatchworkParams(
-            t=math.e**2, epsilon_loc=0.1, coefficients={(0, 0): 5.0 + 0j}
-        )
-        unit = PatchworkParams(t=math.e**2, epsilon_loc=0.1)
-        w = (0.9 + 0.1j, 1.2 - 0.3j)
-        assert h_t(simplex, params, w) == pytest.approx(
-            h_t(simplex, unit, w) + 4.0 * term(simplex, params, (0, 0), w)
-        )
-        assert h_localized(simplex, params, w) == h_localized(simplex, unit, w)
-
     def test_zero_component_rejected(self, simplex):
         params = PatchworkParams(t=math.e**2, epsilon_loc=0.1)
         with pytest.raises(ValueError):
@@ -420,10 +411,7 @@ def _reference_amoeba(poly, params, grid, viewport):
     lt = params.log_t
     k = max(0, -min(p[0] for p in poly.points))
     max_pow = max(p[0] for p in poly.points) + k
-    scales = {
-        alpha: params.coefficient(alpha) * math.exp(-float(poly.height(alpha)) * lt)
-        for alpha in poly.points
-    }
+    scales = {alpha: complex(math.exp(-float(poly.height(alpha)) * lt)) for alpha in poly.points}
     r2_values = np.linspace(ylo, yhi, grid[0])
     points, failed = [], []
     for line in range(grid[0] * grid[1]):
@@ -452,14 +440,14 @@ def _reference_amoeba(poly, params, grid, viewport):
     return AmoebaCloud(points=tuple(points), failed_lines=tuple(failed), viewport=viewport)
 
 
-def _reference_hausdorff(cloud, curve, clip=None, curve_step=0.02):
+def _reference_hausdorff(cloud, curve, curve_step=0.02):
     """Hausdorff distance with the clipped cloud built as a list of tuples,
     the cloud -> curve distances on (N, 2) arrays and scalar curve samples."""
     from scipy.spatial import cKDTree
 
     from conicmirror.numerics import _clipped_curve_segments
 
-    vp = clip if clip is not None else cloud.viewport
+    vp = cloud.viewport
     (xlo, ylo), (xhi, yhi) = vp
     pts = np.array(
         [p for p in cloud.points if xlo <= p[0] <= xhi and ylo <= p[1] <= yhi], dtype=float
@@ -550,32 +538,36 @@ def _amoeba_cases():
     deg4 = perturb_heights(
         HeightedPolygon.create(_TRIANGLE_4, [x * x + y * y for x, y in _TRIANGLE_4]), seed=1
     )
-    square = HeightedPolygon.create(_SQUARE, 0)
+    # the term on (1, 1) has t^(17269/100) = e^690.76, about 1e300
+    overflow = HeightedPolygon.create(_SQUARE, (0, 0, 0, Fraction(-17269, 100)))
     four_e4 = _curve_case(FOUR_POINTS, FOUR_HEIGHTS, 4)
+    # at t = e^2, w_2 = t^-400 underflows to 0 on the row r_2 = -400
+    underflow_row = ((-1.0, -400.0), (1.0, 1.0))
     return {
         "four_point_e2": _curve_case(FOUR_POINTS, FOUR_HEIGHTS, 2),
         "four_point_e8": _curve_case(FOUR_POINTS, FOUR_HEIGHTS, 8),
         "paraboloid_e16": _curve_case(PARABOLOID_POINTS, _PARABOLOID_HEIGHTS, 16),
         "triangle4_e12": _curve_case(deg4.points, deg4.heights, 12),
-        # the leading coefficient 1 - w_2 vanishes on the line w_2 = 1
+        # t^-400 underflows to 0 on (1, 0), so the leading coefficient
+        # t^-400 + w_2 vanishes on the row r_2 = -400: lines without roots
         "square_zero_leading": (
-            square,
-            PatchworkParams(t=math.e**2, epsilon_loc=0.05, coefficients={(1, 0): 1, (1, 1): -1}),
+            HeightedPolygon.create(_SQUARE, (0, 400, 0, 0)),
+            PatchworkParams(t=math.e**2),
             (3, 4),
-            ((-1.0, -1.0), (1.0, 1.0)),
+            underflow_row,
         ),
-        # the leading coefficient 1 - w_2 vanishes on one line of degree 2,
-        # whose single root lands between the stacked lines' roots
+        # the leading coefficient w_2 vanishes on the row r_2 = -400, whose
+        # lines of degree 1 share a block with stacked lines of degree 2
         "quadratic_zero_leading": (
-            HeightedPolygon.create(((0, 0), (1, 0), (2, 0), (2, 1)), 0),
-            PatchworkParams(t=math.e**2, epsilon_loc=0.05, coefficients={(2, 1): -1}),
+            HeightedPolygon.create(((0, 0), (1, 0), (2, 1)), 0),
+            PatchworkParams(t=math.e**2),
             (3, 4),
-            ((-1.0, -1.0), (1.0, 1.0)),
+            underflow_row,
         ),
         # coefficients overflow to inf: lines the eigensolver rejects
         "square_overflow": (
-            square,
-            PatchworkParams(t=math.e**4, epsilon_loc=0.05, coefficients={(1, 1): 1e300}),
+            overflow,
+            PatchworkParams(t=math.e**4),
             (20, 4),
             ((-100.0, -100.0), (100.0, 100.0)),
         ),
@@ -589,8 +581,8 @@ def _amoeba_cases():
         # failed lines on both sides of a block edge (blocks of
         # _BLOCK_LINES // 4 rows)
         "square_overflow_blocks": (
-            square,
-            PatchworkParams(t=math.e**4, epsilon_loc=0.05, coefficients={(1, 1): 1e300}),
+            overflow,
+            PatchworkParams(t=math.e**4),
             (_BLOCK_LINES // 4 + 276, 4),
             ((-100.0, -100.0), (100.0, 100.0)),
         ),
@@ -628,6 +620,13 @@ class TestAmoeba:
             assert len(cloud.failed_lines) == 27
         if name == "square_overflow_blocks":
             assert cloud.failed_lines[0] < _BLOCK_LINES <= cloud.failed_lines[-1]
+        # roots per row: the row r_2 = -400 is solved line by line at a
+        # lower degree, the other rows are stacked
+        rows = collections.Counter(r2 for _, r2 in cloud.points)
+        if name == "square_zero_leading":
+            assert rows == {-199.5: 4, 1.0: 4} and cloud.failed_lines == ()
+        if name == "quadratic_zero_leading":
+            assert rows == {-400.0: 4, -199.5: 8, 1.0: 8} and cloud.failed_lines == ()
         if name == "vertical_segment":
             assert cloud.points == () and cloud.failed_lines == ()
 
@@ -676,18 +675,19 @@ class TestAmoeba:
             _reference_hausdorff(cloud, four_curve), abs=1e-12
         )
         # a viewport holding no point of the cloud
-        empty = ((50.0, 50.0), (60.0, 60.0))
-        assert hausdorff_to_tropical(cloud, four_curve, clip=empty) == math.inf
-        assert _reference_hausdorff(cloud, four_curve, clip=empty) == math.inf
+        empty = dataclasses.replace(cloud, viewport=((50.0, 50.0), (60.0, 60.0)))
+        assert hausdorff_to_tropical(empty, four_curve) == math.inf
+        assert _reference_hausdorff(empty, four_curve) == math.inf
         # the vertex (1/4, 1/4) is the viewport's corner: both bounded edges
         # leaving it clip to zero-length segments, the leg (1, 1) to a segment
-        corner = ((0.25, 0.25), (1.25, 1.25))
+        corner = dataclasses.replace(cloud, viewport=((0.25, 0.25), (1.25, 1.25)))
         from conicmirror.numerics import _clipped_curve_segments
 
-        lengths = sorted(math.dist(p, q) for p, q in _clipped_curve_segments(four_curve, corner))
+        segments = _clipped_curve_segments(four_curve, corner.viewport)
+        lengths = sorted(math.dist(p, q) for p, q in segments)
         assert lengths[:2] == [0.0, 0.0] and lengths[2] > 1.0
-        assert hausdorff_to_tropical(cloud, four_curve, clip=corner) == pytest.approx(
-            _reference_hausdorff(cloud, four_curve, clip=corner), abs=1e-12
+        assert hausdorff_to_tropical(corner, four_curve) == pytest.approx(
+            _reference_hausdorff(corner, four_curve), abs=1e-12
         )
 
     def test_hausdorff_tree_matches_a_balanced_tree_on_ties(self, four_curve):
@@ -767,14 +767,12 @@ class TestMomentMap:
             math.pi + 0.15, abs=1e-15
         )
 
-    def test_origin_limit_and_strict_raise(self):
+    def test_origin_limit_is_zero(self):
         params = MomentParams(epsilon_blowup=0.3, chi=1.0)
         assert moment_map(params, 0.0, 0.0) == 0.0
         detail = moment_map_detail(params, 0.0, 0.0)
         assert detail.origin_limit_used
         assert detail.value == 0.0
-        with pytest.raises(UndefinedAtOrigin):
-            moment_map(params, 0.0, 0.0, strict=True)
 
     def test_singular_level_reported(self):
         params = MomentParams(epsilon_blowup=0.3, chi=0.0)
@@ -794,9 +792,9 @@ class TestMomentMap:
                 assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_fractional_chi_rejected(self):
-        params = MomentParams(epsilon_blowup=0.3, chi=0.5)
-        with pytest.raises(ValueError):
-            moment_map(params, 1.0, 1.0)
+        for chi in (0.5, 1.5, -1.0, math.nan):
+            with pytest.raises(ValueError, match="only for chi = 0 or chi = 1"):
+                MomentParams(epsilon_blowup=0.3, chi=chi)
 
     def test_negative_moduli_rejected(self):
         params = MomentParams(epsilon_blowup=0.3, chi=0.0)

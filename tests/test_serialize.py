@@ -87,3 +87,24 @@ def test_unserializable_value_raises_type_error(value):
 def test_integer_past_digit_limit_raises_digit_limit_error():
     with pytest.raises(DigitLimitError, match="an integer has 4301 digits"):
         canonical_json({"order": [-(10**4300)]})
+
+
+def test_cloud_envelope_writes_its_tuples_as_lists():
+    import math
+
+    from conicmirror.lattice_geometry import HeightedPolygon
+    from conicmirror.numerics import PatchworkParams, amoeba_sample
+    from conicmirror.serialize import cloud_to_json, envelope
+
+    # a term of about 1e300 on (1, 1) makes some lines fail
+    poly = HeightedPolygon.create(((0, 0), (1, 0), (0, 1), (1, 1)), [0, 0, 0, "-17269/100"])
+    viewport = ((-100.0, -100.0), (100.0, 100.0))
+    cloud = amoeba_sample(poly, PatchworkParams(t=math.e**4), grid=(20, 4), viewport=viewport)
+    assert cloud.points and cloud.failed_lines
+    payload = envelope("amoeba", {"cloud": cloud_to_json(cloud)})
+    listified = envelope("amoeba", {"cloud": {
+        "points": [list(p) for p in cloud.points],
+        "failed_lines": list(cloud.failed_lines),
+        "viewport": [list(corner) for corner in cloud.viewport],
+    }})
+    assert canonical_json(payload) == json.dumps(listified, sort_keys=True, indent=2) + "\n"

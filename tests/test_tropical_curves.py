@@ -159,7 +159,7 @@ def test_balancing(four_curve):
 def test_balancing_non_unimodular():
     # weights > 1: the 4-point polygon scaled by 2, points doubled only
     pts = [(0, 0), (2, 0), (0, 2), (-2, -2)]
-    poly = HeightedPolygon.create(pts, {(0, 0): Fraction(-1, 4)})
+    poly = HeightedPolygon.create(pts, [Fraction(-1, 4), 0, 0, 0])
     curve = tropical_curve(poly, regular_triangulation(poly))
     for vid in range(len(curve.vertices)):
         assert balancing_defect(curve, vid) == (0, 0)
@@ -167,7 +167,7 @@ def test_balancing_non_unimodular():
 
 def test_parallel_boundary_edges_give_parallel_legs():
     pts = [(0, 0), (1, 0), (0, 1), (1, 1)]
-    poly = HeightedPolygon.create(pts, {(0, 0): Fraction(-1, 8)})
+    poly = HeightedPolygon.create(pts, [Fraction(-1, 8), 0, 0, 0])
     curve = tropical_curve(poly, regular_triangulation(poly))
     by_edge = {leg.dual_edge: leg.direction for leg in curve.legs}
     bottom = by_edge[((0, 0), (1, 0))]
@@ -206,7 +206,7 @@ def test_chambers_realized(four_point, four_point_tri):
     assert not cs[0].contains((3, 0))
     # chamber of a dropped vertex is empty: with nu(0,0) = +1/4 the origin
     # chamber vanishes
-    plus = HeightedPolygon.create(FOUR_POINTS, {(0, 0): Fraction(1, 4)})
+    plus = HeightedPolygon.create(FOUR_POINTS, [Fraction(1, 4), 0, 0, 0])
     dead = Chamber(label=(0, 0), polygon=plus)
     for x in range(-6, 7):
         for y in range(-6, 7):
@@ -225,7 +225,7 @@ def test_chamber_count_by_grid_sampling(four_point):
 
 
 def test_curve_requires_adapted_heights(four_point_tri):
-    plus = HeightedPolygon.create(FOUR_POINTS, {(0, 0): Fraction(1, 4)})
+    plus = HeightedPolygon.create(FOUR_POINTS, [Fraction(1, 4), 0, 0, 0])
     with pytest.raises(InconsistentInput):
         tropical_curve(plus, four_point_tri)
 
