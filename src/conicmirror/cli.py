@@ -198,7 +198,7 @@ def _cmd_tropical(args: argparse.Namespace) -> int:
         {
             "polygon": polygon_to_json(poly),
             "curve": curve_to_json(curve),
-            "chambers": [list(ch.label) for ch in chambers(poly, tri)],
+            "chambers": [list(label) for label in chambers(poly, tri)],
         },
     )
     _emit(args, canonical_json(payload))
@@ -339,25 +339,30 @@ def _cmd_mckay(args: argparse.Namespace) -> int:
 
 def _cmd_moment(args: argparse.Namespace) -> int:
     data = _require_object(_load_json(args.input_path), "input")
+    values = {}
     for key in ("chi", "abs_u", "abs_h"):
         if key not in data:
             raise SchemaError(f"moment input needs {key!r}")
         if isinstance(data[key], bool):  # float() would take true as 1.0
             raise SchemaError(f"moment input {key!r}: expected a number, got a boolean")
+        try:
+            values[key] = float(data[key])
+        except OverflowError:
+            raise SchemaError(f"moment input {key!r}: integer past the float range") from None
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(str(exc)) from exc
     try:
-        params = MomentParams(
-            epsilon_blowup=args.eps_blowup, chi=float(data["chi"])
-        )
-        detail = moment_map_detail(params, float(data["abs_u"]), float(data["abs_h"]))
-    except (TypeError, ValueError) as exc:
+        params = MomentParams(epsilon_blowup=args.eps_blowup, chi=values["chi"])
+        detail = moment_map_detail(params, values["abs_u"], values["abs_h"])
+    except ValueError as exc:
         raise SchemaError(str(exc)) from exc
     payload = envelope(
         "moment",
         {
             "chi": params.chi,
             "epsilon_blowup": params.epsilon_blowup,
-            "abs_u": float(data["abs_u"]),
-            "abs_h": float(data["abs_h"]),
+            "abs_u": values["abs_u"],
+            "abs_h": values["abs_h"],
             "value": detail.value,
             "singular_level": detail.singular_level,
             "origin_limit_used": detail.origin_limit_used,

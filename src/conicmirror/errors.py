@@ -24,10 +24,6 @@ class NonTriangularCell(ConicMirrorError):
     """A lower-hull facet has more than 3 vertices (heights are non-generic)."""
 
 
-class MissingLatticePoints(ConicMirrorError):
-    """The point set omits lattice points of its hull, but the routine needs all of them."""
-
-
 class InconsistentInput(ConicMirrorError):
     """Two inputs that must describe the same object disagree."""
 

@@ -18,12 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .errors import (
-    DegeneratePolygon,
-    InconsistentInput,
-    MissingLatticePoints,
-    NonTriangularCell,
-)
+from .errors import DegeneratePolygon, InconsistentInput, NonTriangularCell
 
 Point = tuple[int, int]
 Covector = tuple[int, int]
@@ -151,37 +146,6 @@ def _doubled_area_of_hull(hull: Sequence[Point]) -> int:
     return abs(s)
 
 
-def point_in_hull(hull: Sequence[Point], q: Sequence) -> bool:
-    """Closed membership test against a CCW hull (q may have Fraction coords)."""
-    if len(hull) == 0:
-        return False
-    if len(hull) == 1:
-        return tuple(q) == hull[0]
-    if len(hull) == 2:
-        a, b = hull
-        if orient(a, b, q) != 0:
-            return False
-        lo, hi = min(a, b), max(a, b)
-        return lo <= tuple(q) <= hi
-    return all(
-        orient(hull[i], hull[(i + 1) % len(hull)], q) >= 0 for i in range(len(hull))
-    )
-
-
-def lattice_points_in_hull(points: Iterable[Point]) -> list[Point]:
-    """All integer points of conv(points), by bounding-box scan (O(area))."""
-    pts = list(points)
-    hull = convex_hull(pts)
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    out = []
-    for x in range(min(xs), max(xs) + 1):
-        for y in range(min(ys), max(ys) + 1):
-            if point_in_hull(hull, (x, y)):
-                out.append((x, y))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # heighted polygons
 
@@ -282,9 +246,6 @@ class Triangulation:
 
     def interior_edges(self) -> list[Edge]:
         return [e for e in self.edges if e.interior]
-
-    def boundary_edges(self) -> list[Edge]:
-        return [e for e in self.edges if not e.interior]
 
     def edge_points(self, e: Edge) -> tuple[Point, Point]:
         return (self.points[e.v[0]], self.points[e.v[1]])
@@ -513,22 +474,6 @@ def is_unimodular(tri: Triangulation) -> bool:
     return all(cell_doubled_area(tri.points, c) == 1 for c in tri.cells)
 
 
-def unimodular_triangulation(poly: HeightedPolygon) -> Triangulation:
-    """regular_triangulation for point sets that must carry all lattice points.
-
-    Raises MissingLatticePoints if A omits a lattice point of conv(A) (no
-    triangulation using A could then be unimodular), and NonTriangularCell /
-    DegeneratePolygon as regular_triangulation does. The result may still be
-    non-unimodular; test with is_unimodular.
-    """
-    missing = set(lattice_points_in_hull(poly.points)) - set(poly.points)
-    if missing:
-        raise MissingLatticePoints(
-            f"point set omits lattice points of its hull: {sorted(missing)}"
-        )
-    return regular_triangulation(poly)
-
-
 def _fold_rows(tri: Triangulation) -> Iterator[tuple[tuple[tuple[int, int], ...], bool]]:
     """Adaptedness as integer linear forms in the heights, one at a time.
 
@@ -589,65 +534,6 @@ def is_adapted(poly: HeightedPolygon, tri: Triangulation) -> bool:
         if value < 0 or (strict and value == 0):
             return False
     return True
-
-
-def coherence_witness(tri: Triangulation) -> Optional[HeightedPolygon]:
-    """Heights certifying that tri is regular, or None if tri is incoherent.
-
-    Maximizes a margin t subject to t - r.h <= 0 on the strict rows r of
-    _fold_rows, -r.h <= 0 on the weak ones and t <= 1, over t >= 0 and
-    heights h >= 0; tri is regular iff the optimum is positive. The rows
-    vanish on affine heights, so h >= 0 loses nothing, and every right-hand
-    side is >= 0, so the all-slack basis is feasible and the exact Fraction
-    simplex needs no phase 1. Bland's rule (smallest entering column,
-    smallest leaving basic variable on a tie) keeps the degenerate pivots
-    from cycling. The returned heights are verified with is_adapted.
-    """
-    n = len(tri.points)
-    one = Fraction(1)
-    # columns: 0 is t, 1 + q the height of point q, 1 + n + i the slack of row i
-    rows = [
-        {**{1 + q: Fraction(-c) for q, c in row if c}, **({0: one} if strict else {})}
-        for row, strict in _fold_rows(tri)
-    ]
-    rows.append({0: one})
-    rhs = [Fraction(0)] * (len(rows) - 1) + [one]
-    basis = [1 + n + i for i in range(len(rows))]
-    for i, row in enumerate(rows):
-        row[1 + n + i] = one
-    cost = {0: -one}  # reduced costs; a negative one can still raise t
-    while True:
-        enter = min((j for j, c in cost.items() if c < 0), default=None)
-        if enter is None:
-            break
-        # t <= 1 bounds the objective, so some row limits every entering column
-        _, _, p = min(
-            (rhs[i] / row[enter], basis[i], i)
-            for i, row in enumerate(rows) if row.get(enter, 0) > 0
-        )
-        f = rows[p][enter]
-        pivot = {j: c / f for j, c in rows[p].items()}
-        rows[p], rhs[p], basis[p] = pivot, rhs[p] / f, enter
-        for i, row in enumerate([*rows, cost]):
-            f = row.get(enter)
-            if i == p or not f:
-                continue
-            for j, c in pivot.items():
-                v = row.get(j, 0) - f * c
-                if v:
-                    row[j] = v
-                else:
-                    del row[j]
-            if i < len(rhs):
-                rhs[i] -= f * rhs[p]
-    value = dict(zip(basis, rhs))
-    if value.get(0, 0) <= 0:
-        return None
-    heights = tuple(value.get(1 + q, Fraction(0)) for q in range(n))
-    witness = HeightedPolygon(points=tri.points, heights=heights)
-    if not is_adapted(witness, tri):
-        raise InconsistentInput("LP witness failed verification")
-    return witness
 
 
 def perturb_heights(poly: HeightedPolygon, seed: int) -> HeightedPolygon:

@@ -28,7 +28,7 @@ from .lattice_geometry import (
     gcd2,
     hull_doubled_area,
 )
-from .mirror_ring import Coefficient, Scalar, SparseExact, _clean, product_terms
+from .mirror_ring import Coefficient, SparseExact, _clean, product_terms
 from .theta_ring import ThetaElement
 
 GroupElement = tuple[int, int]  # residues against (d1, d2)
@@ -188,17 +188,6 @@ class CoverAlgebraElement(SparseExact):
             int(i),
         )
 
-    @classmethod
-    def generator(
-        cls,
-        g: Sequence[int],
-        h: Sequence[int],
-        n: Sequence[int],
-        i: int,
-        c: Scalar = 1,
-    ) -> "CoverAlgebraElement":
-        return cls({(tuple(g), tuple(h), tuple(n), i): c})
-
     def __repr__(self):
         if not self.entries:
             return "CoverAlgebraElement(0)"
@@ -206,12 +195,6 @@ class CoverAlgebraElement(SparseExact):
             f"{c}*E[{g}->{h}; n={n}, i={i}]" for (g, h, n, i), c in self.items()
         ]
         return "CoverAlgebraElement(" + " + ".join(parts) + ")"
-
-
-def cover_unit(sub: Sublattice) -> CoverAlgebraElement:
-    """Sum of the identity generators (g, g, 0, 0) over all g in G."""
-    group = quotient(sub)
-    return CoverAlgebraElement._of({(g, g, (0, 0), 0): 1 for g in group.elements()})
 
 
 def _require_consistent(

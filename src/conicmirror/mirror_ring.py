@@ -116,10 +116,6 @@ class SparseExact:
     def _data(self) -> dict:
         return getattr(self, self._field)
 
-    @classmethod
-    def zero(cls):
-        return cls._of({})
-
     def __add__(self, other):
         out = dict(self._data())
         for k, v in other._data().items():
@@ -163,13 +159,6 @@ class MirrorElement(SparseExact):
     @classmethod
     def basis(cls, n: Sequence[int], i: int, c: Scalar = 1) -> "MirrorElement":
         return cls._of(_clean({((int(n[0]), int(n[1])), int(i)): as_fraction(c)}))
-
-    @classmethod
-    def unit(cls) -> "MirrorElement":
-        return cls.basis((0, 0), 0)
-
-    def support_n(self) -> set[Covector]:
-        return {n for (n, _i) in self.coefficients}
 
     def __repr__(self):
         if not self.coefficients:
@@ -233,10 +222,6 @@ class RawCharacterSum(SparseExact):
     def _key(key) -> RawIndex:
         m, k, i = key
         return ((int(m[0]), int(m[1])), int(k), int(i))
-
-    @classmethod
-    def character(cls, m: Sequence[int], k: int, i: int = 0, c: Scalar = 1):
-        return cls({(tuple(m), k, i): c})
 
 
 def check_regular(poly: HeightedPolygon, x: RawCharacterSum) -> None:

@@ -60,36 +60,6 @@ class PatchworkParams:
         return math.log(self.t)
 
 
-@dataclass(frozen=True)
-class LocalizationReport:
-    """Whether eps log t sits below half the smallest bounded feature."""
-
-    eps_times_log_t: float
-    min_feature_times_log_t: float
-    ok: bool
-
-
-def localization_report(curve: TropicalCurve, params: PatchworkParams) -> LocalizationReport:
-    """Validate epsilon against the minimum feature size of the curve.
-
-    The feature size is the length of the shortest bounded edge (infinite
-    when the curve has none); the cutoff bands of width eps log t must not
-    swallow a whole bounded edge of the log t scaled curve.
-    """
-    feature = math.inf
-    for be in curve.bounded_edges:
-        p = curve.vertices[be.v[0]]
-        q = curve.vertices[be.v[1]]
-        feature = min(feature, math.hypot(float(q[0] - p[0]), float(q[1] - p[1])))
-    eps_lt = params.epsilon_loc * params.log_t
-    feat_lt = feature * params.log_t
-    return LocalizationReport(
-        eps_times_log_t=eps_lt,
-        min_feature_times_log_t=feat_lt,
-        ok=eps_lt < feat_lt / 2,
-    )
-
-
 def smoothstep(x: float) -> float:
     """The C^2 step 6x^5 - 15x^4 + 10x^3, clamped to [0, 1]."""
     if x <= 0.0:
@@ -165,10 +135,15 @@ class _Chambers:
             scale = self._scales[alpha] = math.exp(-self.nu[alpha] * self.log_t)
         return scale
 
-    def distance(self, alpha: Point, n: RealPoint, cutoff: float = math.inf) -> float:
-        """The distance from n to the chamber of alpha, by clipping. Returns
-        cutoff, without clipping, once the distance to one violated halfplane
-        (a lower bound) reaches it."""
+    def distance(self, alpha: Point, n: RealPoint, cutoff: float) -> float:
+        """The distance from n (plain log coordinates) to the chamber of
+        alpha scaled by log t: the intersection of the halfplanes
+        <n, alpha - beta> >= (log t)(nu(alpha) - nu(beta)). Computed by
+        clipping a square around n of half-width r, so any value at or below
+        eps log t is exact and larger ones are only overestimated, past the
+        band where phi is 1; an empty chamber gives +inf. Returns cutoff,
+        without clipping, once the distance to one violated halfplane (a
+        lower bound) reaches it."""
         rows = self.halfplanes(alpha)
         x, y = n
         inside = True
@@ -205,7 +180,9 @@ class _Chambers:
         return self.hi * (1.0 + 1e-9) + 1e-12 * (abs(n[0]) + abs(n[1]))
 
     def phi(self, alpha: Point, n: RealPoint, cutoff: float) -> float:
-        """phi_alpha at n, given self.cutoff(n)."""
+        """phi_alpha at n, given self.cutoff(n): exactly 0 up to distance
+        (eps log t)/2, exactly 1 from eps log t on, and the smoothstep in
+        between, so the gradient is bounded by 3.75/(eps log t)."""
         d = self.distance(alpha, n, cutoff)
         lo, hi = self.lo, self.hi
         if d <= lo:
@@ -228,47 +205,6 @@ def _table(poly: HeightedPolygon, params: PatchworkParams) -> _Chambers:
         table = _Chambers(poly, params)
         _last_table = (poly, params, table)
     return table
-
-
-def _alpha_and_n(
-    poly: HeightedPolygon, alpha: Point, n: Sequence[float]
-) -> tuple[Point, RealPoint]:
-    alpha = (int(alpha[0]), int(alpha[1]))
-    if alpha not in poly.points:
-        raise ValueError(f"{alpha} is not a point of the polygon")
-    return alpha, (float(n[0]), float(n[1]))
-
-
-def chamber_distance(
-    poly: HeightedPolygon, params: PatchworkParams, alpha: Point, n: Sequence[float]
-) -> float:
-    """Euclidean distance from n (plain log coordinates) to the scaled chamber.
-
-    The chamber of alpha, scaled by log t, is the intersection of the
-    halfplanes <n, alpha - beta> >= (log t)(nu(alpha) - nu(beta)). The
-    distance is computed exactly by clipping a square around n of half-width
-    comfortably above the cutoff threshold, so any value at or below
-    eps log t is exact and larger values are only ever overestimated past
-    the band where phi is already 1. Empty chambers give +inf.
-    """
-    alpha, n = _alpha_and_n(poly, alpha, n)
-    return _table(poly, params).distance(alpha, n)
-
-
-def phi_alpha(
-    poly: HeightedPolygon, params: PatchworkParams, alpha: Point, n: Sequence[float]
-) -> float:
-    """Cutoff of the distance to the scaled chamber of alpha.
-
-    Exactly 0 up to distance (eps log t)/2, exactly 1 from eps log t on,
-    and the smoothstep in between; the gradient is bounded by
-    3.75/(eps log t), within the required 4/(eps log t). A point whose
-    distance to one of the chamber's halfplanes already reaches eps log t
-    gets 1 without clipping.
-    """
-    alpha, n = _alpha_and_n(poly, alpha, n)
-    table = _table(poly, params)
-    return table.phi(alpha, n, table.cutoff(n))
 
 
 def _require_nonzero(w: Sequence[complex]) -> tuple[complex, complex]:
@@ -299,31 +235,11 @@ def h_ts(
     return total
 
 
-def h_t(poly: HeightedPolygon, params: PatchworkParams, w: Sequence[complex]) -> complex:
-    """The plain patchworking polynomial (the family at s = 0)."""
-    return h_ts(poly, params, 0.0, w)
-
-
 def h_localized(
     poly: HeightedPolygon, params: PatchworkParams, w: Sequence[complex]
 ) -> complex:
     """Tropical localization (the family at s = 1)."""
     return h_ts(poly, params, 1.0, w)
-
-
-def stratum_of(
-    poly: HeightedPolygon, params: PatchworkParams, n: Sequence[float]
-) -> tuple[Point, ...]:
-    """The face of the triangulation whose stratum contains n.
-
-    Returns the sorted tuple of lattice points alpha with phi_alpha(n) != 1;
-    over a dense grid these realized sets are exactly the vertices, edges and
-    cells of the adapted triangulation (the strata partition the plane).
-    """
-    table = _table(poly, params)
-    n = (float(n[0]), float(n[1]))
-    cutoff = table.cutoff(n)
-    return tuple(sorted(alpha for alpha in poly.points if table.phi(alpha, n, cutoff) != 1.0))
 
 
 @dataclass(frozen=True)

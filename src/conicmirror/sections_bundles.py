@@ -78,9 +78,6 @@ class LineBundleClass:
             {e: d + other.degrees[e] for e, d in self.degrees.items()}
         )
 
-    def is_zero(self) -> bool:
-        return all(d == 0 for d in self.degrees.values())
-
     def items(self):
         return sorted(self.degrees.items())
 
@@ -121,27 +118,12 @@ def _degrees(frames, s: FramedSection) -> LineBundleClass:
     return LineBundleClass(degrees)
 
 
-def check_section(tri: Triangulation, s: FramedSection) -> bool:
-    """True iff every interior-edge constraint <n_s - n_s', alpha - beta> = 0 holds."""
-    _require_cells_match(tri, s)
-    try:
-        _degrees(_degree_frames(tri), s)
-    except InvalidSection:
-        return False
-    return True
-
-
 def degree_vector(tri: Triangulation, s: FramedSection) -> LineBundleClass:
     """d_tau = <n_sigma - n_sigma', (beta - alpha)^perp> per interior edge;
-    InvalidSection where check_section would be False."""
+    InvalidSection where an interior-edge constraint
+    <n_sigma - n_sigma', alpha - beta> = 0 fails."""
     _require_cells_match(tri, s)
     return _degrees(_degree_frames(tri), s)
-
-
-def shift_normalize(s: FramedSection) -> FramedSection:
-    """Canonical representative: subtract the value on the lowest-indexed cell."""
-    base = s.values[min(s.values)]
-    return s.shift((-base[0], -base[1]))
 
 
 def enumerate_sections(tri: Triangulation, box: int) -> list[FramedSection]:

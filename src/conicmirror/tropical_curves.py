@@ -26,7 +26,6 @@ from .lattice_geometry import (
     Point,
     Triangulation,
     cross,
-    gcd2,
     is_adapted,
     pairing,
     perp,
@@ -53,18 +52,6 @@ def eval_tropical(
         elif v == best:
             argmax.append(alpha)
     return best, tuple(sorted(argmax))
-
-
-@dataclass(frozen=True)
-class Chamber:
-    """Open region where the term labeled by alpha strictly wins the max."""
-
-    label: Point
-    polygon: HeightedPolygon
-
-    def contains(self, n: Sequence) -> bool:
-        _, argmax = eval_tropical(self.polygon, n)
-        return argmax == (self.label,)
 
 
 @dataclass(frozen=True)
@@ -113,10 +100,6 @@ class TropicalCurve:
     vertices: tuple[RationalPoint, ...]  # parallel to triangulation.cells
     bounded_edges: tuple[BoundedEdge, ...]
     legs: tuple[Leg, ...]
-
-    def compact_part(self) -> tuple[tuple[RationalPoint, ...], tuple[BoundedEdge, ...]]:
-        """The union of vertices and bounded edges (no legs)."""
-        return self.vertices, self.bounded_edges
 
     def bounding_box(self) -> tuple[RationalPoint, RationalPoint]:
         """Bounding box of the compact part."""
@@ -203,40 +186,6 @@ def chamber_of(poly: HeightedPolygon, n: Sequence) -> Optional[Point]:
     return argmax[0] if len(argmax) == 1 else None
 
 
-def chambers(poly: HeightedPolygon, tri: Triangulation) -> list[Chamber]:
-    """The nonempty chambers: one per vertex used by the triangulation."""
-    return [Chamber(label=poly.points[i], polygon=poly) for i in tri.vertices_used]
-
-
-def edge_weight(alpha: Point, beta: Point) -> int:
-    """Lattice length of the segment [alpha, beta]."""
-    d = vsub(alpha, beta)
-    return gcd2(d[0], d[1])
-
-
-def balancing_defect(curve: TropicalCurve, vertex_id: int) -> tuple[int, int]:
-    """Sum of weighted primitive outgoing directions at a curve vertex.
-
-    Zero for every vertex of a curve dual to a coherent triangulation
-    (balancing); exposed so tests can assert it.
-    """
-    v = curve.vertices[vertex_id]
-    total = (0, 0)
-    for be in curve.bounded_edges:
-        if vertex_id not in be.v:
-            continue
-        other = curve.vertices[be.v[1] if be.v[0] == vertex_id else be.v[0]]
-        d = (other[0] - v[0], other[1] - v[1])
-        if d == (0, 0):
-            raise InconsistentInput("coincident dual vertices")
-        # primitive integer direction of the rational vector d
-        num = (d[0].numerator * d[1].denominator, d[1].numerator * d[0].denominator)
-        prim = primitivize(num)
-        w = edge_weight(*be.dual_edge)
-        total = (total[0] + w * prim[0], total[1] + w * prim[1])
-    for leg in curve.legs:
-        if leg.base_vertex != vertex_id:
-            continue
-        w = edge_weight(*leg.dual_edge)
-        total = (total[0] + w * leg.direction[0], total[1] + w * leg.direction[1])
-    return total
+def chambers(poly: HeightedPolygon, tri: Triangulation) -> list[Point]:
+    """The labels of the nonempty chambers: the points the triangulation uses."""
+    return [poly.points[i] for i in tri.vertices_used]

@@ -414,6 +414,15 @@ class TestMoment:
         assert out.out == ""
         assert out.err == f"SchemaError: moment input {key!r}: expected a number, got a boolean\n"
 
+    @pytest.mark.parametrize("key", ["chi", "abs_u", "abs_h"])
+    def test_integer_past_float_range_exits_2(self, tmp_path, capsys, key):
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({"chi": 1, "abs_u": 1, "abs_h": 1, key: 10**400}))
+        assert main(["moment", "--in", str(job), "--eps-blowup", "0.3"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"SchemaError: moment input {key!r}: integer past the float range\n"
+
     def test_infinite_modulus_exits_2(self, tmp_path, capsys):
         job = tmp_path / "job.json"
         job.write_text(json.dumps({"chi": 1, "abs_u": "inf", "abs_h": 1}))

@@ -1,4 +1,4 @@
-"""Lower-hull triangulations, coherence, unimodularity.
+"""Lower-hull triangulations, adaptedness, unimodularity.
 
 Frozen expected values were derived with an independent qhull-based 3d lower
 hull oracle (scripts/oracle_lower_hull.py); the library implementation is
@@ -19,29 +19,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conicmirror.errors import (
-    DegeneratePolygon,
-    InconsistentInput,
-    MissingLatticePoints,
-    NonTriangularCell,
-)
+from conicmirror.errors import DegeneratePolygon, InconsistentInput, NonTriangularCell
 from conicmirror.lattice_geometry import (
     HeightedPolygon,
     _fold_rows,
     build_triangulation,
     cell_doubled_area,
-    coherence_witness,
     convex_hull,
     cross,
     hull_doubled_area,
     is_adapted,
     is_unimodular,
-    lattice_points_in_hull,
     orient,
     perturb_heights,
-    point_in_hull,
     regular_triangulation,
-    unimodular_triangulation,
     vsub,
 )
 from conicmirror.tropical_curves import tropical_curve
@@ -60,7 +51,7 @@ def test_four_point_star(four_point_tri):
     # frozen: qhull oracle gives the 3-cell star around (0,0)
     assert four_point_tri.cells == ((0, 1, 2), (0, 1, 3), (0, 2, 3))
     interior = [e.v for e in four_point_tri.interior_edges()]
-    boundary = [e.v for e in four_point_tri.boundary_edges()]
+    boundary = [e.v for e in four_point_tri.edges if not e.interior]
     assert interior == [(0, 1), (0, 2), (0, 3)]
     assert boundary == [(1, 2), (1, 3), (2, 3)]
     assert four_point_tri.vertices_used == (0, 1, 2, 3)
@@ -110,18 +101,6 @@ def test_unimodularity_det_two_cell():
     assert not is_unimodular(tri)
 
 
-def test_unimodular_triangulation_demands_all_lattice_points():
-    poly = HeightedPolygon.create([(0, 0), (2, 0), (0, 1)], 0)
-    with pytest.raises(MissingLatticePoints):
-        unimodular_triangulation(poly)
-    full = HeightedPolygon.create(
-        [(0, 0), (1, 0), (2, 0), (0, 1)], [0, Fraction(-1, 3), 0, 0]
-    )
-    tri = unimodular_triangulation(full)
-    assert is_unimodular(tri)
-    assert len(tri.cells) == 2
-
-
 def test_degenerate_polygon():
     poly = HeightedPolygon.create([(0, 0), (1, 0), (2, 0)], 0)
     assert not poly.is_full_dimensional
@@ -164,92 +143,6 @@ def test_affine_height_shift_leaves_cells_unchanged(four_point):
             ),
         )
         assert regular_triangulation(shifted).cells == base
-
-
-def test_coherence_witness_star(four_point_tri):
-    w = coherence_witness(four_point_tri)
-    assert w is not None
-    assert is_adapted(w, four_point_tri)
-    # the witness must lift (0,0) strictly below the plane of the outer triangle
-    h0, h1, h2, h3 = w.heights
-    plane_at_origin = (h1 + h2 + h3) / 3  # centroid of outer = origin
-    assert h0 < plane_at_origin
-
-
-# the classical non-regular pinwheels: an outer triangle around an inner
-# one, each outer edge coned to one inner vertex, the two cell lists turning
-# opposite ways round
-PINWHEEL = [(0, 0), (12, 0), (0, 12), (3, 3), (6, 3), (3, 6)]
-PINWHEEL_CELLS = (
-    [(0, 1, 4), (0, 2, 3), (0, 3, 4), (1, 2, 5), (1, 4, 5), (2, 3, 5), (3, 4, 5)],
-    [(0, 1, 3), (0, 2, 5), (0, 3, 5), (1, 2, 4), (1, 3, 4), (2, 4, 5), (3, 4, 5)],
-)
-PINWHEEL_IMAGES = {
-    "pinwheel": PINWHEEL,
-    "reflected": [(y, x) for x, y in PINWHEEL],
-    "sheared": [(x + y, y) for x, y in PINWHEEL],
-}
-
-
-def test_coherence_witness_pinwheel_is_none():
-    for name, pts in PINWHEEL_IMAGES.items():
-        for cells in PINWHEEL_CELLS:
-            assert coherence_witness(build_triangulation(pts, cells)) is None, (name, cells)
-        # while the same point set does admit regular triangulations
-        generic = regular_triangulation(
-            perturb_heights(HeightedPolygon.create(pts, 0), seed=3)
-        )
-        assert coherence_witness(generic) is not None
-
-
-def _flip_neighbours(tri):
-    """The triangulations one diagonal flip away from tri."""
-    pts = tri.points
-    for e in tri.interior_edges():
-        u, v = e.v
-        (a,) = set(tri.cells[e.cells[0]]) - {u, v}
-        (b,) = set(tri.cells[e.cells[1]]) - {u, v}
-        if orient(pts[a], pts[b], pts[u]) * orient(pts[a], pts[b], pts[v]) < 0:
-            kept = [c for i, c in enumerate(tri.cells) if i not in e.cells]
-            yield build_triangulation(pts, kept + [(a, b, u), (a, b, v)])
-
-
-def test_coherence_witness_induces_its_triangulation():
-    # regular triangulations of a paraboloid lift with random bumps, some
-    # with unused points, and every flip neighbour: a witness induces exactly
-    # its triangulation, and only the pinwheels have none
-    rng = random.Random(9)
-    witnessed, rejected = 0, 0
-    for pts in (
-        [(x, y) for x in range(3) for y in range(3)],
-        [(x, y) for x in range(4) for y in range(4 - x)],
-        PINWHEEL,
-    ):
-        bump = max(x * x + y * y for x, y in pts) // 2
-        for seed in range(6):
-            heights = [x * x + y * y + rng.randint(0, bump) for x, y in pts]
-            tri = regular_triangulation(perturb_heights(HeightedPolygon.create(pts, heights), seed))
-            for t in [tri, *_flip_neighbours(tri)]:
-                w = coherence_witness(t)
-                if w is None:
-                    assert t is not tri and [tuple(c) for c in t.cells] in PINWHEEL_CELLS
-                    rejected += 1
-                else:
-                    assert regular_triangulation(w).cells == t.cells
-                    witnessed += 1
-    assert rejected >= 1 and witnessed >= 50, (rejected, witnessed)
-
-
-def test_coherence_witness_degree_six_triangle_within_budget():
-    pts = [(x, y) for x in range(7) for y in range(7 - x)]
-    tri = regular_triangulation(
-        perturb_heights(HeightedPolygon.create(pts, [x * x + y * y for x, y in pts]), seed=1)
-    )
-    start = time.perf_counter()
-    w = coherence_witness(tri)
-    elapsed = time.perf_counter() - start
-    assert w is not None and regular_triangulation(w).cells == tri.cells
-    assert elapsed < 1.0, f"witness for 36 cells took {elapsed:.2f} s"
 
 
 def test_perturb_heights_deterministic(four_point):
@@ -313,9 +206,7 @@ def test_huge_decimal_exponent_rejected_before_it_is_built():
     assert bounds.heights == (Fraction(10**4300), Fraction(-1, 10**4300))
 
 
-def test_lattice_points_in_hull():
-    pts = lattice_points_in_hull([(0, 0), (2, 0), (0, 2)])
-    assert sorted(pts) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
+def test_convex_hull_drops_collinear_points():
     assert convex_hull([(0, 0), (1, 0), (2, 0), (1, 1)]) == [(0, 0), (2, 0), (1, 1)]
 
 
@@ -558,6 +449,12 @@ def test_local_is_adapted_matches_retriangulation_on_random_heights():
     assert min(adapted, checked - adapted) >= 50
 
 
+def _cell_holds(tri, cell, q):
+    """q lies in the closed triangle of cell: on no outer side of its CCW hull."""
+    hull = convex_hull(tri.points[i] for i in cell)
+    return all(orient(hull[i - 1], hull[i], q) >= 0 for i in range(3))
+
+
 def test_fold_rows_place_unused_points_in_the_first_cell_holding_them():
     # reference: the first cell, in cell order, whose hull holds the point
     rng = random.Random(7)
@@ -576,10 +473,7 @@ def test_fold_rows_place_unused_points_in_the_first_cell_holding_them():
         rows = list(_fold_rows(tri))[len(tri.interior_edges()):]
         assert len(rows) == len(unused)
         for q, (row, strict) in zip(unused, rows):
-            cell = next(
-                c for c in tri.cells
-                if point_in_hull(convex_hull(tri.points[i] for i in c), tri.points[q])
-            )
+            cell = next(c for c in tri.cells if _cell_holds(tri, c, tri.points[q]))
             assert not strict and [i for i, _ in row] == [*cell, q]
             checked += 1
 

@@ -1,12 +1,13 @@
 """Tests for quotient groups, the block cover algebra, and cover predicates."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from conicmirror.errors import InconsistentEntry, SingularMatrix
-from conicmirror.lattice_geometry import HeightedPolygon, lattice_points_in_hull, orient
+from conicmirror.lattice_geometry import HeightedPolygon, orient
 from conicmirror.mckay_covers import (
     CoverAlgebraElement,
     Sublattice,
@@ -14,7 +15,6 @@ from conicmirror.mckay_covers import (
     cover_compose,
     cover_polygon,
     cover_to_theta,
-    cover_unit,
     has_compact_divisor,
     quotient,
     theta_to_cover,
@@ -26,6 +26,11 @@ from conicmirror.theta_ring import ThetaElement, theta_multiply
 SUB_Z3 = Sublattice(((1, 0), (-1, 3)))
 # columns (1,1), (0,3): the kernel of (a, b) -> a - b mod 3
 SUB_Z3_DIAG = Sublattice(((1, 0), (1, 3)))
+
+
+def cover_unit(sub):
+    """Sum of the identity generators (g, g, 0, 0) over all g in G."""
+    return CoverAlgebraElement({(g, g, (0, 0), 0): 1 for g in quotient(sub).elements()})
 
 
 def random_theta(rng, terms=2, n_bound=3, i_bound=2, c_bound=4):
@@ -126,8 +131,8 @@ class TestCoverCompose:
         g1 = group.projection((1, 0))
         assert group.projection((0, 1)) == g1
         g2 = group.add(g1, g1)
-        x = CoverAlgebraElement.generator(g1, g2, (0, 1), 0)
-        y = CoverAlgebraElement.generator((0, 0), g1, (1, 0), 0)
+        x = CoverAlgebraElement({(g1, g2, (0, 1), 0): 1})
+        y = CoverAlgebraElement({((0, 0), g1, (1, 0), 0): 1})
         out = cover_compose(simplex, SUB_Z3, x, y)
         expected = CoverAlgebraElement(
             {
@@ -141,9 +146,9 @@ class TestCoverCompose:
         group = quotient(SUB_Z3)
         g1 = group.projection((1, 0))
         g2 = group.add(g1, g1)
-        x = CoverAlgebraElement.generator(g1, g2, (0, 1), 0)
-        y = CoverAlgebraElement.generator((0, 0), g2, (1, 1), 0)
-        assert cover_compose(simplex, SUB_Z3, x, y) == CoverAlgebraElement.zero()
+        x = CoverAlgebraElement({(g1, g2, (0, 1), 0): 1})
+        y = CoverAlgebraElement({((0, 0), g2, (1, 1), 0): 1})
+        assert cover_compose(simplex, SUB_Z3, x, y) == CoverAlgebraElement()
 
     def test_unit_is_two_sided(self, simplex):
         rng = random.Random(11)
@@ -158,7 +163,7 @@ class TestCoverCompose:
     def test_inconsistent_entry_rejected(self, simplex):
         # (1,0) projects to a generator, not to 0, so a (0,0) -> (0,0) block
         # entry with n = (1,0) is inconsistent
-        bad = CoverAlgebraElement.generator((0, 0), (0, 0), (1, 0), 0)
+        bad = CoverAlgebraElement({((0, 0), (0, 0), (1, 0), 0): 1})
         good = cover_unit(SUB_Z3)
         with pytest.raises(InconsistentEntry):
             cover_compose(simplex, SUB_Z3, bad, good)
@@ -169,10 +174,10 @@ class TestCoverCompose:
         # G = Z/2 x Z/2; (0, 3) names the same element as (0, 1) but is not
         # its residue, so it cannot be matched against other blocks
         sub = Sublattice(((2, 0), (0, 2)))
-        e = CoverAlgebraElement.generator((0, 1), (0, 1), (0, 0), 0)
+        e = CoverAlgebraElement({((0, 1), (0, 1), (0, 0), 0): 1})
         assert cover_compose(simplex, sub, e, e) == e
         for g, h in (((0, 3), (0, 3)), ((0, 1), (0, -1)), ((2, 1), (0, 1))):
-            bad = CoverAlgebraElement.generator(g, h, (0, 0), 0)
+            bad = CoverAlgebraElement({(g, h, (0, 0), 0): 1})
             with pytest.raises(InconsistentEntry, match="not a residue"):
                 cover_compose(simplex, sub, bad, bad)
             with pytest.raises(InconsistentEntry, match="not a residue"):
@@ -247,7 +252,7 @@ class TestCharacterDecomposition:
         for _ in range(30):
             x = random_theta(rng, terms=5)
             dec = character_decomposition(SUB_Z3, x)
-            total = ThetaElement.zero()
+            total = ThetaElement()
             for piece in dec.values():
                 total = total + piece
             assert total == x
@@ -262,7 +267,7 @@ class TestCharacterDecomposition:
                 for gb, pb in character_decomposition(SUB_Z3, y).items():
                     prod = theta_multiply(simplex, pa, pb)
                     target = group.add(ga, gb)
-                    for n in prod.support_n():
+                    for n, _ in prod.coefficients:
                         assert group.projection(n) == target
 
 
@@ -304,12 +309,15 @@ class TestCoverPolygon:
 
     def test_pick_count_matches_lattice_scan(self):
         def scan(poly, sub):
-            # reference: visit every lattice point of the cover polygon
+            # reference: visit every lattice point of the cover polygon's
+            # bounding box
             hull = cover_polygon(poly, sub)
             k = len(hull)
+            xs = range(min(x for x, _ in hull), max(x for x, _ in hull) + 1)
+            ys = range(min(y for _, y in hull), max(y for _, y in hull) + 1)
             return k >= 3 and any(
                 all(orient(hull[t], hull[(t + 1) % k], q) > 0 for t in range(k))
-                for q in lattice_points_in_hull(hull)
+                for q in itertools.product(xs, ys)
             )
 
         rng = random.Random(3)

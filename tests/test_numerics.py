@@ -17,21 +17,17 @@ from conicmirror.numerics import (
     AmoebaCloud,
     MomentParams,
     PatchworkParams,
+    _table,
     amoeba_sample,
-    chamber_distance,
     default_viewport,
     h_localized,
-    h_t,
     h_ts,
     hausdorff_to_tropical,
     leg_zero_samples,
-    localization_report,
     moment_map,
     moment_map_detail,
-    phi_alpha,
     singular_level,
     smoothstep,
-    stratum_of,
 )
 from conicmirror.tropical_curves import tropical_curve
 
@@ -69,18 +65,21 @@ class TestParams:
         with pytest.raises(ValueError):
             MomentParams(epsilon_blowup=0.5, chi=1.5)
 
-    def test_localization_report(self, simplex_curve, four_curve):
-        params = PatchworkParams(t=math.e**2, epsilon_loc=0.05)
-        rep = localization_report(simplex_curve, params)
-        assert rep.min_feature_times_log_t == math.inf
-        assert rep.eps_times_log_t == pytest.approx(0.1)
-        assert rep.ok
-        # shortest bounded edge of the three-vertex curve has length 3/4
-        big = localization_report(four_curve, PatchworkParams(t=math.e**2, epsilon_loc=1.0))
-        assert big.min_feature_times_log_t == pytest.approx(1.5)
-        assert not big.ok
-        small = localization_report(four_curve, params)
-        assert small.ok
+
+def phi_alpha(poly, params, alpha, n):
+    """phi_alpha at n from the localization table that h_ts reads."""
+    table = _table(poly, params)
+    return table.phi(alpha, n, table.cutoff(n))
+
+
+def chamber_distance(poly, params, alpha, n):
+    """The table's distance from n to the log t scaled chamber of alpha."""
+    return _table(poly, params).distance(alpha, n, math.inf)
+
+
+def stratum_of(poly, params, n):
+    """The points alpha with phi_alpha(n) != 1: a face of the triangulation."""
+    return tuple(sorted(a for a in poly.points if phi_alpha(poly, params, a, n) != 1.0))
 
 
 def _reference_chamber_distance(poly, params, alpha, n):
@@ -334,19 +333,12 @@ class TestPhiAlpha:
         for n in [(-3.0, -2.0), (0.0, 0.0), (4.0, 1.0), (-1.0, 5.0)]:
             assert phi_alpha(dead, params, (0, 0), n) == 1.0
 
-    def test_unknown_alpha_rejected(self, simplex):
-        params = PatchworkParams(t=math.e**2, epsilon_loc=0.1)
-        with pytest.raises(ValueError):
-            phi_alpha(simplex, params, (5, 5), (0.0, 0.0))
-
-
 class TestPatchworkFamily:
     def test_s_zero_is_plain_sum(self, four_point):
         params = PatchworkParams(t=math.e**2, epsilon_loc=0.1)
         w = (0.7 + 0.2j, -1.1 + 0.4j)
         direct = sum(term(four_point, params, a, w) for a in four_point.points)
         assert h_ts(four_point, params, 0.0, w) == pytest.approx(direct)
-        assert h_t(four_point, params, w) == pytest.approx(direct)
 
     def test_zero_component_rejected(self, simplex):
         params = PatchworkParams(t=math.e**2, epsilon_loc=0.1)

@@ -23,12 +23,16 @@ from conicmirror.sections_bundles import (
     ClassificationReport,
     FramedSection,
     LineBundleClass,
-    check_section,
     classification_report,
     degree_vector,
     enumerate_sections,
-    shift_normalize,
 )
+
+
+def shift_normalize(s):
+    """Canonical representative: subtract the value on the lowest-indexed cell."""
+    base = s.values[min(s.values)]
+    return s.shift((-base[0], -base[1]))
 
 
 def _reference_enumerate_sections(tri, box):
@@ -145,31 +149,35 @@ def star_section(x, y, m):
 
 
 class TestCheckSection:
+    """The interior-edge constraints: degree_vector raises InvalidSection
+    where one fails and UnknownCell on cell ids that do not match."""
+
     def test_constant_sections_are_valid(self, four_point_tri):
         s = FramedSection({0: (2, 3), 1: (2, 3), 2: (2, 3)})
-        assert check_section(four_point_tri, s) is True
+        degree_vector(four_point_tri, s)
 
     def test_known_invalid_assignment(self, four_point_tri):
         # cells 1 and 2 share the edge {(0,0),(-1,-1)}; the jump (0,1)
         # pairs to 1 with (1,1), so the constraint fails
         s = FramedSection({0: (0, 0), 1: (0, 1), 2: (0, 0)})
-        assert check_section(four_point_tri, s) is False
+        with pytest.raises(InvalidSection):
+            degree_vector(four_point_tri, s)
 
     def test_one_parameter_family_is_valid(self, four_point_tri):
         for m in range(-3, 4):
-            assert check_section(four_point_tri, star_section(5, -2, m))
+            degree_vector(four_point_tri, star_section(5, -2, m))
 
     def test_unknown_cell_ids_raise(self, four_point_tri):
         with pytest.raises(UnknownCell):
-            check_section(four_point_tri, FramedSection({0: (0, 0), 1: (0, 0)}))
+            degree_vector(four_point_tri, FramedSection({0: (0, 0), 1: (0, 0)}))
         with pytest.raises(UnknownCell):
-            check_section(
+            degree_vector(
                 four_point_tri,
                 FramedSection({0: (0, 0), 1: (0, 0), 2: (0, 0), 7: (0, 0)}),
             )
 
     def test_single_cell_has_no_constraints(self, simplex_tri):
-        assert check_section(simplex_tri, FramedSection({0: (9, -4)}))
+        assert degree_vector(simplex_tri, FramedSection({0: (9, -4)})).degrees == {}
 
     def test_jump_is_multiple_of_primitive_perp(self, four_point_tri):
         # structural invariant behind the search in enumerate_sections
@@ -190,7 +198,7 @@ class TestCheckSection:
 class TestDegreeVector:
     def test_constant_section_has_zero_degrees(self, four_point_tri):
         s = FramedSection({0: (1, 1), 1: (1, 1), 2: (1, 1)})
-        assert degree_vector(four_point_tri, s).is_zero()
+        assert set(degree_vector(four_point_tri, s).degrees.values()) == {0}
 
     def test_star_family_degrees(self, four_point_tri):
         # edges 0,1,2 are the interior edges at the origin; the family
@@ -250,8 +258,7 @@ class TestEnumerateSections:
     def test_representatives_are_normalized_and_valid(self, four_point_tri):
         for s in enumerate_sections(four_point_tri, 2):
             assert s[0] == (0, 0)
-            assert check_section(four_point_tri, s)
-            assert shift_normalize(s) == s
+            degree_vector(four_point_tri, s)
 
     def test_negative_box_rejected(self, four_point_tri):
         with pytest.raises(ValueError):
@@ -297,7 +304,7 @@ class TestEnumerateSections:
         rep = classification_report(tri, 0)
         assert len(rep.degree_vectors) == 1
         assert len(rep.degree_vectors[0].degrees) == 1039
-        assert rep.degree_vectors[0].is_zero()
+        assert set(rep.degree_vectors[0].degrees.values()) == {0}
 
     def test_star_box_twenty_is_fast(self, four_point_tri):
         start = time.perf_counter()
@@ -306,19 +313,6 @@ class TestEnumerateSections:
         assert len(classes) == 81
         assert classes == sorted(classes, key=lambda s: tuple(s.items()))
         assert all(s[0] == (0, 0) for s in classes)
-
-
-class TestShiftNormalize:
-    def test_subtracts_lowest_cell_value(self):
-        s = FramedSection({0: (3, -1), 1: (4, 0), 2: (3, 1)})
-        n = shift_normalize(s)
-        assert n.items() == [(0, (0, 0)), (1, (1, 1)), (2, (0, 2))]
-
-    def test_idempotent_and_shift_stable(self, four_point_tri):
-        s = star_section(4, -7, 2)
-        n = shift_normalize(s)
-        assert shift_normalize(n) == n
-        assert shift_normalize(s.shift((11, -5))) == n
 
 
 class TestClassificationReport:
