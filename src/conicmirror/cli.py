@@ -39,19 +39,19 @@ from .sections_bundles import classification_report
 from .serialize import (
     SVG_SIZE,
     canonical_json,
+    classes_to_json,
     cloud_to_csv,
     cloud_to_json,
     cover_element_from_json,
     cover_element_to_json,
     curve_to_json,
-    degree_vector_to_json,
     envelope,
     mirror_element_from_json,
     mirror_element_to_json,
     plot_svg,
+    points_to_json,
     polygon_from_json,
     polygon_to_json,
-    section_to_json,
     sublattice_from_json,
     sublattice_to_json,
     theta_element_from_json,
@@ -198,7 +198,7 @@ def _cmd_tropical(args: argparse.Namespace) -> int:
         {
             "polygon": polygon_to_json(poly),
             "curve": curve_to_json(curve),
-            "chambers": [list(label) for label in chambers(poly, tri)],
+            "chambers": points_to_json(chambers(poly, tri)),
         },
     )
     _emit(args, canonical_json(payload))
@@ -291,13 +291,7 @@ def _cmd_sections(args: argparse.Namespace) -> int:
         {
             "box": report.box,
             "count": len(report.classes),
-            "classes": [
-                {
-                    **section_to_json(s),
-                    "degrees": degree_vector_to_json(d),
-                }
-                for s, d in zip(report.classes, report.degree_vectors)
-            ],
+            "classes": classes_to_json(report),
         },
     )
     _emit(args, canonical_json(payload))
@@ -318,7 +312,7 @@ def _cmd_mckay(args: argparse.Namespace) -> int:
         "sublattice": sublattice_to_json(sub),
         "invariant_factors": list(group.invariant_factors),
         "order": group.order,
-        "cover_polygon": [list(p) for p in cover_polygon(poly, sub)],
+        "cover_polygon": points_to_json(cover_polygon(poly, sub)),
         "has_compact_divisor": has_compact_divisor(poly, sub),
     }
     if "x" in data or "y" in data:
@@ -343,8 +337,10 @@ def _cmd_moment(args: argparse.Namespace) -> int:
     for key in ("chi", "abs_u", "abs_h"):
         if key not in data:
             raise SchemaError(f"moment input needs {key!r}")
-        if isinstance(data[key], bool):  # float() would take true as 1.0
-            raise SchemaError(f"moment input {key!r}: expected a number, got a boolean")
+        # float() would take true as 1.0 and " 1_0 " as 10.0
+        for kind, name in ((bool, "a boolean"), (str, "a string")):
+            if isinstance(data[key], kind):
+                raise SchemaError(f"moment input {key!r}: expected a number, got {name}")
         try:
             values[key] = float(data[key])
         except OverflowError:

@@ -165,9 +165,9 @@ class HeightedPolygon:
 
     def __post_init__(self):
         pts = tuple((int(p[0]), int(p[1])) for p in self.points)
+        hts = tuple(h if type(h) is Fraction else as_fraction(h) for h in self.heights)
         if len(set(pts)) != len(pts):
             raise ValueError("points must be distinct")
-        hts = tuple(as_fraction(h) for h in self.heights)
         if len(hts) != len(pts):
             raise ValueError("heights must be parallel to points")
         object.__setattr__(self, "points", pts)
@@ -181,11 +181,13 @@ class HeightedPolygon:
         points: Iterable[Sequence[int]],
         heights: Union[Sequence[RationalLike], RationalLike] = 0,
     ) -> "HeightedPolygon":
-        pts = tuple((int(p[0]), int(p[1])) for p in points)
+        """A polygon from any point pairs and one height for all points or one
+        per point; __post_init__ converts both, once."""
+        pts = tuple(points)
         if isinstance(heights, (int, str, Fraction)):
-            hts = tuple(as_fraction(heights) for _ in pts)
+            hts = (as_fraction(heights),) * len(pts)
         else:
-            hts = tuple(as_fraction(h) for h in heights)
+            hts = tuple(heights)
         return cls(points=pts, heights=hts)
 
     def height(self, point: Sequence[int]) -> Fraction:

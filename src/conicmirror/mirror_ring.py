@@ -167,9 +167,14 @@ class MirrorElement(SparseExact):
         return "MirrorElement(" + " + ".join(parts) + ")"
 
 
-@lru_cache(maxsize=None)
 def _pascal_row(m: int) -> tuple[int, ...]:
     return tuple(comb(m, j) for j in range(m + 1))
+
+
+# Rows up to ell2 = _SHORT_ROW are cached; a longer one is built for each
+# use, so a product with a huge ell2 keeps nothing once it returns.
+_SHORT_ROW = 64
+_short_pascal_row = lru_cache(maxsize=_SHORT_ROW + 1)(_pascal_row)
 
 
 def product_terms(
@@ -188,13 +193,15 @@ def product_terms(
     support = _support_of(poly)
     out: dict = {}
     get = out.get
+    short_row, short = _short_pascal_row, _SHORT_ROW
     for (n, i), cx in x.items():
         ln = support(n)
         for (np, ip), cy in y.items():
             nsum = (n[0] + np[0], n[1] + np[1])
             c = cx * cy
             base = i + ip
-            for j, b in enumerate(_pascal_row(ln + support(np) - support(nsum))):
+            ell2 = ln + support(np) - support(nsum)
+            for j, b in enumerate(short_row(ell2) if ell2 <= short else _pascal_row(ell2)):
                 key = (nsum, base + j)
                 out[key] = get(key, 0) + c * b
     return _clean(out)

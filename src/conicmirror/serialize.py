@@ -11,8 +11,10 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain, compress, cycle
 from json.encoder import encode_basestring_ascii
-from typing import Any, Mapping, Optional
+from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import __version__
 from .errors import DigitLimitError, SchemaError
@@ -20,7 +22,7 @@ from .lattice_geometry import HeightedPolygon, Triangulation, as_fraction
 from .mckay_covers import CoverAlgebraElement, Sublattice
 from .mirror_ring import MirrorElement
 from .numerics import AmoebaCloud, Viewport
-from .sections_bundles import FramedSection, LineBundleClass
+from .sections_bundles import ClassificationReport, FramedSection, LineBundleClass
 from .theta_ring import ThetaElement
 from .tropical_curves import TropicalCurve
 
@@ -33,23 +35,27 @@ def _decimal_digits(n: int) -> int:
     return d + (n >= 10**d)
 
 
-def rational_str(x: Fraction) -> str:
+def rational_str(x: Union[int, Fraction]) -> str:
     """x as "p/q" (or "p"); DigitLimitError past Python's digit limit for
     integer strings, which str() would meet with ValueError."""
-    if type(x) is not Fraction:
-        x = Fraction(x)
+    if type(x) is int:
+        num, den = x, 1
+    else:
+        if type(x) is not Fraction:
+            x = Fraction(x)
+        num, den = x.numerator, x.denominator
     limit = sys.get_int_max_str_digits()
     # a b-bit integer has at most 0.302 b + 1 digits, so at most 3 * limit
     # bits never pass the limit
-    if limit and max(x.numerator.bit_length(), x.denominator.bit_length()) > 3 * limit:
-        for part, name in ((x.numerator, "numerator"), (x.denominator, "denominator")):
+    if limit and max(num.bit_length(), den.bit_length()) > 3 * limit:
+        for part, name in ((num, "numerator"), (den, "denominator")):
             digits = _decimal_digits(part)
             if digits > limit:
                 raise DigitLimitError(
                     f"a rational's {name} has {digits} digits, past the limit of "
                     f"{limit} for integer strings"
                 )
-    return str(x)
+    return int.__repr__(num) if den == 1 else f"{num}/{den}"
 
 
 def parse_rational(value: Any, where: str) -> Fraction:
@@ -85,6 +91,7 @@ def canonical_json(obj: Any) -> str:
 
     json.dumps runs its pure-Python encoder whenever indent is set; this
     writer builds one string per container and looks each leaf up by type.
+    A Rows value is written as the list of its rows, by one %-format.
     """
     return _json_value(obj, "") + "\n"
 
@@ -119,6 +126,8 @@ def _json_value(v: Any, pad: str) -> str:
     leaf = _JSON_LEAF.get(type(v))
     if leaf is not None:
         return leaf(v)
+    if type(v) is Rows:
+        return _rows_json(v, pad)
     inner = pad + "  "
     get = _JSON_LEAF.get
     parts = []
@@ -147,13 +156,105 @@ def _json_value(v: Any, pad: str) -> str:
     raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
+# ------------------------------------------------------------------- rows
+
+
+class RowShape(NamedTuple):
+    """One layout of a list row. row(*leaves) builds the row from its
+    leaves, taken in the order the row is written (keys sorted as strings);
+    kinds has a letter per leaf: "d" an int, "r" a float, "s" a JSON text
+    such as encode_basestring_ascii writes."""
+
+    row: Callable[..., Any]
+    kinds: str
+
+
+class Rows:
+    """A JSON list whose k-th row is shapes[k].row(*its leaves), held as one
+    flat tuple of every row's leaves in written order. canonical_json fills
+    a %-template per shape and indent with them, giving the bytes that
+    _json_value writes for the built rows."""
+
+    __slots__ = ("shapes", "leaves")
+
+    def __init__(self, shapes: Sequence[RowShape], leaves: tuple) -> None:
+        self.shapes = shapes
+        self.leaves = leaves
+
+
+def _same_rows(shape: RowShape, leaves: tuple) -> Rows:
+    return Rows((shape,) * (len(leaves) // len(shape.kinds)), leaves)
+
+
+@lru_cache(maxsize=256)
+def _row_template(shape: RowShape, pad: str) -> str:
+    """The row as _json_value writes it at indent pad, with a %-code in place
+    of each leaf: written once with sentinel strings as leaves."""
+    marks = [f"\x00{k}\x00" for k in range(len(shape.kinds))]
+    rest = _json_value(shape.row(*marks), pad)
+    parts = []
+    for mark, kind in zip(marks, shape.kinds):
+        head, found, rest = rest.partition(encode_basestring_ascii(mark))
+        if not found:
+            raise ValueError("a row shape must write each leaf once, in argument order")
+        parts += [head.replace("%", "%%"), "%" + kind]
+    parts.append(rest.replace("%", "%%"))
+    return "".join(parts)
+
+
+def _rows_json(rows: Rows, pad: str) -> str:
+    shapes, leaves = rows.shapes, rows.leaves
+    if not shapes:
+        return "[]"
+    distinct = set(shapes)
+    kinds = {k for shape in distinct for k in shape.kinds}
+    # the leaf kind of every leaf, unless all leaves are of one kind
+    every = "".join([shape.kinds for shape in shapes]) if len(kinds) > 1 else None
+
+    def of_kind(kind: str):
+        return leaves if every is None else compress(leaves, map(kind.__eq__, every))
+
+    # _json_value's leaf errors, raised before any row is formatted; a b-bit
+    # int has at most 0.302 b + 1 digits
+    limit = sys.get_int_max_str_digits()
+    if (
+        "d" in kinds and limit and max(map(int.bit_length, of_kind("d"))) > 3 * limit
+        or "r" in kinds and not all(map(math.isfinite, of_kind("r")))
+    ):
+        for x, kind in zip(leaves, every or cycle(kinds)):
+            if kind == "d":
+                _json_int(x)
+            elif kind == "r":
+                _json_float(x)
+    inner = pad + "  "
+    templates = {shape: _row_template(shape, inner) for shape in distinct}
+    body = (",\n" + inner).join(map(templates.__getitem__, shapes))
+    return ("[\n" + inner + body + "\n" + pad + "]") % leaves
+
+
+_INT_PAIR = RowShape(lambda a, b: [a, b], "dd")
+_INT_TRIPLE = RowShape(lambda a, b, c: [a, b, c], "ddd")
+_FLOAT_PAIR = RowShape(lambda a, b: [a, b], "rr")
+_TEXT = RowShape(lambda a: a, "s")
+_TEXT_PAIR = RowShape(lambda a, b: [a, b], "ss")
+
+
+def points_to_json(points: Sequence[Sequence[int]]) -> Rows:
+    """Integer pairs as a list of [x, y] rows."""
+    return _same_rows(_INT_PAIR, tuple(chain.from_iterable(points)))
+
+
+def _rationals(values) -> tuple:
+    return tuple(map(encode_basestring_ascii, map(rational_str, values)))
+
+
 # ---------------------------------------------------------------- polygons
 
 
 def polygon_to_json(poly: HeightedPolygon) -> dict:
     return {
-        "points": [list(p) for p in poly.points],
-        "heights": [rational_str(h) for h in poly.heights],
+        "points": points_to_json(poly.points),
+        "heights": _same_rows(_TEXT, _rationals(poly.heights)),
     }
 
 
@@ -184,50 +285,77 @@ def polygon_from_json(data: Any, where: str = "polygon") -> HeightedPolygon:
 # ----------------------------------------------------------- triangulations
 
 
+# an edge has one adjacent cell or two
+_EDGE_ROWS = {
+    1: RowShape(lambda c, interior, v0, v1: {"cells": [c], "interior": interior, "v": [v0, v1]},
+                "dsdd"),
+    2: RowShape(lambda c0, c1, interior, v0, v1: {
+        "cells": [c0, c1], "interior": interior, "v": [v0, v1]}, "ddsdd"),
+}
+
+
 def triangulation_to_json(tri: Triangulation) -> dict:
+    edge_leaves = []
+    for e in tri.edges:
+        edge_leaves += e.cells
+        edge_leaves += (_JSON_LEAF[bool](e.interior), *e.v)
     return {
-        "points": [list(p) for p in tri.points],
-        "cells": [list(c) for c in tri.cells],
-        "edges": [
-            {"v": list(e.v), "interior": e.interior, "cells": list(e.cells)}
-            for e in tri.edges
-        ],
+        "points": points_to_json(tri.points),
+        "cells": _same_rows(_INT_TRIPLE, tuple(chain.from_iterable(tri.cells))),
+        "edges": Rows([_EDGE_ROWS[len(e.cells)] for e in tri.edges], tuple(edge_leaves)),
     }
 
 
 # ------------------------------------------------------------------ curves
 
 
+_BOUNDED_EDGE = RowShape(
+    lambda a0, a1, b0, b1, v0, v1: {"dual_edge": [[a0, a1], [b0, b1]], "v": [v0, v1]},
+    "dddddd",
+)
+_LEG = RowShape(
+    lambda a_i, x, y, base_vertex, c_dblprime, c_prime, c_sq, d0, d1, a0, a1, b0, b1: {
+        "a_i": a_i,
+        "base": [x, y],
+        "base_vertex": base_vertex,
+        "c_dblprime": c_dblprime,
+        "c_prime": c_prime,
+        "c_sq": c_sq,
+        "direction": [d0, d1],
+        "dual_edge": [[a0, a1], [b0, b1]],
+    },
+    "sssdsssdddddd",
+)
+
+
 def curve_to_json(curve: TropicalCurve) -> dict:
+    legs = []
+    for leg in curve.legs:
+        legs += _rationals((leg.a_i, *leg.base))
+        legs.append(leg.base_vertex)
+        legs += _rationals((leg.c_dblprime, leg.c_prime, leg.c_sq))
+        legs += (*leg.direction, *leg.dual_edge[0], *leg.dual_edge[1])
     return {
-        "vertices": [[rational_str(v[0]), rational_str(v[1])] for v in curve.vertices],
-        "bounded_edges": [
-            {"v": list(be.v), "dual_edge": [list(be.dual_edge[0]), list(be.dual_edge[1])]}
-            for be in curve.bounded_edges
-        ],
-        "legs": [
-            {
-                "base_vertex": leg.base_vertex,
-                "base": [rational_str(leg.base[0]), rational_str(leg.base[1])],
-                "dual_edge": [list(leg.dual_edge[0]), list(leg.dual_edge[1])],
-                "direction": list(leg.direction),
-                "a_i": rational_str(leg.a_i),
-                "c_sq": rational_str(leg.c_sq),
-                "c_prime": rational_str(leg.c_prime),
-                "c_dblprime": rational_str(leg.c_dblprime),
-            }
-            for leg in curve.legs
-        ],
+        "vertices": _same_rows(_TEXT_PAIR, _rationals(chain.from_iterable(curve.vertices))),
+        "bounded_edges": _same_rows(_BOUNDED_EDGE, tuple(
+            chain.from_iterable((*be.dual_edge[0], *be.dual_edge[1], *be.v)
+                                for be in curve.bounded_edges)
+        )),
+        "legs": _same_rows(_LEG, tuple(legs)),
     }
 
 
 # ---------------------------------------------------------- ring elements
 
 
-def _terms_to_json(x: MirrorElement) -> list:
-    return [
-        {"n": list(n), "i": i, "c": rational_str(c)} for (n, i), c in x.items()
-    ]
+_TERM = RowShape(lambda c, i, n0, n1: {"c": c, "i": i, "n": [n0, n1]}, "sddd")
+
+
+def _terms_to_json(x: MirrorElement) -> Rows:
+    leaves = []
+    for (n, i), c in x.items():
+        leaves += (encode_basestring_ascii(rational_str(c)), i, *n)
+    return _same_rows(_TERM, tuple(leaves))
 
 
 def _terms_from_json(rows: list, where: str) -> MirrorElement:
@@ -244,7 +372,7 @@ def _terms_from_json(rows: list, where: str) -> MirrorElement:
     return MirrorElement(coeffs)
 
 
-def mirror_element_to_json(x: MirrorElement) -> list:
+def mirror_element_to_json(x: MirrorElement) -> Rows:
     return _terms_to_json(x)
 
 
@@ -272,12 +400,46 @@ def theta_element_from_json(data: Any, where: str = "element") -> ThetaElement:
 # ------------------------------------------------------ sections, bundles
 
 
-def section_to_json(s: FramedSection) -> dict:
-    return {"section": {str(c): list(v) for c, v in s.items()}}
+def section_to_json(s: FramedSection, cells: Sequence[int]) -> tuple:
+    """The covector entries of s, cell by cell in the given order."""
+    return tuple(chain.from_iterable(map(s.values.__getitem__, cells)))
 
 
-def degree_vector_to_json(d: LineBundleClass) -> dict:
-    return {str(e): v for e, v in d.items()}
+def degree_vector_to_json(d: LineBundleClass, edges: Sequence[int]) -> tuple:
+    """The degrees of d, edge by edge in the given order."""
+    return tuple(map(d.degrees.__getitem__, edges))
+
+
+@lru_cache(maxsize=64)
+def _class_shape(edge_keys: tuple[str, ...], cell_keys: tuple[str, ...]) -> RowShape:
+    split = len(edge_keys)
+
+    def row(*leaves):
+        return {
+            "degrees": dict(zip(edge_keys, leaves)),
+            "section": {
+                key: list(leaves[split + 2 * j: split + 2 * j + 2])
+                for j, key in enumerate(cell_keys)
+            },
+        }
+
+    return RowShape(row, "d" * (split + 2 * len(cell_keys)))
+
+
+def classes_to_json(report: ClassificationReport) -> Rows:
+    """The report's class rows {"degrees": ..., "section": ...}. Every class
+    has the same cells and interior edges, so all rows share one shape; the
+    cell and edge ids are keys, sorted as strings ("10" before "2")."""
+    if not report.classes:
+        return Rows((), ())
+    cells = sorted(report.classes[0].values, key=str)
+    edges = sorted(report.degree_vectors[0].degrees, key=str)
+    leaves = []
+    for s, d in zip(report.classes, report.degree_vectors):
+        leaves += degree_vector_to_json(d, edges)
+        leaves += section_to_json(s, cells)
+    shape = _class_shape(tuple(map(str, edges)), tuple(map(str, cells)))
+    return Rows((shape,) * len(report.classes), tuple(leaves))
 
 
 # ------------------------------------------------------------ sublattices
@@ -297,14 +459,18 @@ def sublattice_to_json(sub: Sublattice) -> dict:
     return {"basis": [list(r) for r in sub.basis]}
 
 
+_COVER_TERM = RowShape(
+    lambda c, g0, g1, h0, h1, i, n0, n1: {"c": c, "g": [g0, g1], "h": [h0, h1], "i": i,
+                                         "n": [n0, n1]},
+    "sddddddd",
+)
+
+
 def cover_element_to_json(x: CoverAlgebraElement) -> dict:
-    return {
-        "cover": True,
-        "entries": [
-            {"g": list(g), "h": list(h), "n": list(n), "i": i, "c": rational_str(c)}
-            for (g, h, n, i), c in x.items()
-        ],
-    }
+    leaves = []
+    for (g, h, n, i), c in x.items():
+        leaves += (encode_basestring_ascii(rational_str(c)), *g, *h, i, *n)
+    return {"cover": True, "entries": _same_rows(_COVER_TERM, tuple(leaves))}
 
 
 def cover_element_from_json(data: Any, where: str = "element") -> CoverAlgebraElement:
@@ -334,9 +500,9 @@ def cover_element_from_json(data: Any, where: str = "element") -> CoverAlgebraEl
 
 
 def cloud_to_json(cloud: AmoebaCloud) -> dict:
-    """The cloud's tuples as they are: canonical_json writes tuples as arrays."""
+    """canonical_json writes the cloud's tuples as arrays."""
     return {
-        "points": cloud.points,
+        "points": _same_rows(_FLOAT_PAIR, tuple(chain.from_iterable(cloud.points))),
         "failed_lines": cloud.failed_lines,
         "viewport": cloud.viewport,
     }

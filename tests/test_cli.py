@@ -423,6 +423,16 @@ class TestMoment:
         assert out.out == ""
         assert out.err == f"SchemaError: moment input {key!r}: integer past the float range\n"
 
+    @pytest.mark.parametrize("key", ["chi", "abs_u", "abs_h"])
+    def test_string_value_exits_2(self, tmp_path, capsys, key):
+        # float() would read " 1_0 " as 10.0
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({"chi": 1, "abs_u": 1, "abs_h": 0, key: " 1_0 "}))
+        assert main(["moment", "--in", str(job), "--eps-blowup", "0.3"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"SchemaError: moment input {key!r}: expected a number, got a string\n"
+
     def test_infinite_modulus_exits_2(self, tmp_path, capsys):
         job = tmp_path / "job.json"
         job.write_text(json.dumps({"chi": 1, "abs_u": "inf", "abs_h": 1}))
@@ -893,6 +903,7 @@ def _pinned_calls(tmp_path) -> dict:
         calls[sample, "triangulate"] = ["triangulate", "--in", path]
         calls[sample, "tropical"] = ["tropical", "--in", path]
         calls[sample, "sections"] = ["sections", "--in", path, "--box", "2"]
+        calls[sample, "plot"] = ["plot", "--in", path]
         calls[sample, "verify-mirror"] = [
             "verify-mirror", "--in", path, "--bound-n", "1", "--bound-i", "1",
             "--out", str(tmp_path / f"{sample}-verify.json"),
@@ -910,11 +921,13 @@ def _pinned_digest(argv, capsys) -> str:
 
 
 class TestPinnedBytes:
-    """The exact commands' output bytes, pinned by sha256. A change to the
-    JSON writer, to a payload or to the version string shows here."""
+    """The exact commands' output bytes, and plot's without an overlay,
+    pinned by sha256. A change to the JSON writer, to a payload or to the
+    version string shows here."""
 
     DIGESTS = {
         ("four_point", "mckay"): "12f41fc762ac6f56545d913240ff38112795d8e39b565a2ecbd8723c6c4e440b",
+        ("four_point", "plot"): "3c20e39a3eb9006781026886df100e7c64efea5dc604489eba8559564696d745",
         ("four_point", "ring-mul"): "80db6bdbc96a7715caf02865615e21e4d462b889dd6f59a700fe10ac9566e77a",
         ("four_point", "sections"): "a30d8fde8834b297ec0c1a0d2156a883b76381d02f94bed148b0fcddd73f1e9f",
         ("four_point", "theta-mul"): "545791161f84a1f46fa00c6504a1c0ab44de1f694f6667a38235120299deecbe",
@@ -922,6 +935,7 @@ class TestPinnedBytes:
         ("four_point", "tropical"): "8f0101db701ce7af5c7e67301bd72921de5e9a4ead2b552fa8ddcbd50de21bed",
         ("four_point", "verify-mirror"): "d6b29eae4cc8d79a49db01530801bac7f360128b95c0374f2efb3da5c215b034",
         ("simplex", "mckay"): "dbaf3302b12fc18afd7fc022f6023d369e689dfc8ad11596a9f218ced7691ad7",
+        ("simplex", "plot"): "2d749dd6d1d4fd4ff2d227edb12d0ebf4c8d0516d60ea03ae360bc2a0d449230",
         ("simplex", "ring-mul"): "90d44b2101877090242594e6323271c6a135eea844a18de5e28f4cd5caf66cec",
         ("simplex", "sections"): "4b64519b87e61716d6f6a948a50e0bfe2c20641d80a9cb9fd226b9c25038d163",
         ("simplex", "theta-mul"): "855a9fc49d157fc3747a30eaf31a36b3475543e5c16c6228894cc4e80f50ddf7",

@@ -178,3 +178,21 @@ def test_c3_preset_relations():
     one_plus_p = B((0, 0), 0) + B((0, 0), 1)
     assert xyz == multiply(poly, one_plus_p, one_plus_p)
     assert xyz == B((0, 0), 0) + B((0, 0), 1).scale(2) + B((0, 0), 2)
+
+
+def test_pascal_row_cache_keeps_no_long_row(simplex):
+    from math import comb
+
+    from conicmirror import mirror_ring
+
+    cache = mirror_ring._short_pascal_row
+    cache.cache_clear()
+    k = 3000  # ell2((k, 0), (-k, -k)) = k on the simplex
+    assert ell2(simplex, (k, 0), (-k, -k)) == k
+    product = multiply(simplex, B((k, 0), 0), B((-k, -k), 0))
+    assert product.coefficients[((0, -k), k // 2)] == comb(k, k // 2)
+    assert cache.cache_info().currsize == 0
+    # short rows stay cached, at most one per ell2 up to the bound
+    for n in range(100):
+        multiply(simplex, B((n, 0), 0), B((-n, -n), 0))
+    assert cache.cache_info().currsize == cache.cache_info().maxsize == mirror_ring._SHORT_ROW + 1
